@@ -13,6 +13,7 @@ Baselines:
 
 from __future__ import annotations
 
+import copy
 from typing import Dict, List
 
 import numpy as np
@@ -31,25 +32,22 @@ class QuantizedEncodingModel:
 
     NeuRex's subgrid scheme stores grid features in compact on-chip
     buffers; we reproduce its small quality cost by quantising the
-    embedding tables to ``bits`` before rendering.
+    embedding tables to ``bits``.  The tables are quantised once, on a
+    copy of the encoder, so the wrapped model is never modified.
     """
 
     def __init__(self, model, bits: int = 8) -> None:
         self._model = model
         self.config = model.config
-        scale = float(max(np.abs(t).max() for t in model.encoder.tables) or 1.0)
-        self._step = 2.0 * scale / (2**bits - 1)
+        tables = model.encoder.tables
+        scale = float(max(np.abs(t).max() for t in tables) or 1.0)
+        step = 2.0 * scale / (2**bits - 1)
+        self._quantized = copy.copy(model)
+        self._quantized.encoder = copy.copy(model.encoder)
+        self._quantized.encoder.tables = [np.round(t / step) * step for t in tables]
 
     def query_density(self, points):
-        encoder = self._model.encoder
-        original = encoder.tables
-        try:
-            encoder.tables = [
-                np.round(t / self._step) * self._step for t in original
-            ]
-            return self._model.query_density(points)
-        finally:
-            encoder.tables = original
+        return self._quantized.query_density(points)
 
     def query_color(self, geo_feat, dirs):
         return self._model.query_color(geo_feat, dirs)

@@ -5,17 +5,31 @@ in an embedding table of ``table_size`` entries.  A sample point is located
 in its voxel at every level; the features of the voxel's eight vertices are
 fetched (dense indexing when the grid fits, hashed otherwise) and blended
 by trilinear interpolation; per-level features are concatenated.
+:class:`HashGridEncoder` stacks the level tables in one ``(L, T, F)``
+array and evaluates every level and corner of a batch in one pass.
 
-Besides encoding, this module exposes the *addressing* primitives the
-architecture simulator replays: vertex coordinates, table indices, and
-whether a level is hash-compressed — exactly the information the hybrid
-address generator of Section 5.2.1 consumes.
+Besides encoding, this module exports the *addressing* primitives, the
+information the hybrid address generator of Section 5.2.1 consumes:
+
+* :data:`CORNER_OFFSETS` — the eight voxel-corner offsets, in corner order;
+* :meth:`HashGridEncoder.voxel_vertices` — one level's vertex coordinates
+  and trilinear weights;
+* :attr:`HashGridConfig.level_resolutions` and
+  :meth:`HashGridConfig.level_is_dense` — each level's grid and whether it
+  is indexed densely or hash-compressed;
+* :func:`dense_coords_index` and :func:`hash_coords` (Eq. 2) — the two
+  table addressing functions.
+
+The encoder locates and addresses vertices with these same functions.  The
+architecture simulator and the CIM address model replay the corners, the
+level split and :func:`hash_coords`; dense levels there use the physical
+layouts of :mod:`repro.cim.address` instead of :func:`dense_coords_index`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -30,7 +44,6 @@ HASH_PRIMES = (1, 2654435761, 805459861)
 CORNER_OFFSETS = np.array(
     [[i & 1, (i >> 1) & 1, (i >> 2) & 1] for i in range(8)], dtype=np.int64
 )
-
 
 @dataclass
 class HashGridConfig:
@@ -108,30 +121,93 @@ def hash_coords(coords: np.ndarray, table_size: int) -> np.ndarray:
     return (result % np.uint64(table_size)).astype(np.int64)
 
 
-def dense_coords_index(coords: np.ndarray, resolution: int) -> np.ndarray:
-    """Row-major dense index of vertex coordinates on a ``(res+1)^3`` grid."""
+def dense_coords_index(
+    coords: np.ndarray, resolution: Union[int, np.ndarray]
+) -> np.ndarray:
+    """Row-major dense index of vertex coordinates on a ``(res+1)^3`` grid.
+
+    ``resolution`` is one grid's resolution, or an integer array that
+    broadcasts against ``coords[..., 0]`` (one resolution per level).
+    """
     coords = np.asarray(coords, dtype=np.int64)
     stride = resolution + 1
     return (coords[..., 2] * stride + coords[..., 1]) * stride + coords[..., 0]
 
 
+def _locate(
+    points: np.ndarray, resolutions: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Voxel vertices and trilinear weights of points on several grids.
+
+    Args:
+        points: ``(N, 3)`` positions in the unit cube.
+        resolutions: ``(L,)`` grid resolutions.
+
+    Returns:
+        ``(corners, weights)``: the ``(3, 8, L, N)`` vertex coordinates per
+        axis, corner (in :data:`CORNER_OFFSETS` order), grid and point,
+        and the ``(8, L, N)`` weights, each ``(wx*wy)*wz``.
+    """
+    res = resolutions[:, None]
+    # numpy lays a result out like its inputs: a contiguous axis-major copy
+    # keeps the point axis innermost in every array below (``points.T``
+    # itself would put the axis of three there, about 2x slower).
+    scaled = np.ascontiguousarray(points.T)[:, None, :] * res  # (3, L, N)
+    base = np.floor(scaled).astype(np.int64)
+    base = np.clip(base, 0, res - 1)
+    frac = scaled - base
+    offsets = CORNER_OFFSETS.T[:, :, None, None]  # (3, 8, 1, 1)
+    corners = base[:, None] + offsets
+    # Weight of corner (ox, oy, oz) is prod over axes of
+    # frac if offset==1 else (1-frac).
+    w = np.where(offsets == 1, frac[:, None], 1.0 - frac[:, None])
+    weights = (w[0] * w[1]) * w[2]
+    return corners, weights
+
+
 class HashGridEncoder:
     """Trainable multi-resolution hash-grid encoder.
 
-    The tables are NumPy arrays updated by the distillation trainer; the
-    encoder also provides :meth:`voxel_vertices` and :meth:`table_indices`
-    used by the architecture simulator to replay memory accesses.
+    The level tables live in one stacked ``(L, T, F)`` array that the
+    distillation trainer updates through :meth:`encode_backward`;
+    :attr:`tables` exposes per-level views of it.  :meth:`voxel_vertices`
+    gives the architecture simulator the per-level corners it replays.
     """
 
     def __init__(self, config: HashGridConfig, seed: int = 0) -> None:
         self.config = config
         rng = seeded_rng(seed)
         scale = 1e-2
-        self.tables: List[np.ndarray] = [
-            rng.uniform(-scale, scale, size=(config.table_size, config.feature_dim))
-            for _ in range(config.num_levels)
-        ]
+        num_levels, table_size = config.num_levels, config.table_size
+        self._table = rng.uniform(
+            -scale, scale, size=(num_levels, table_size, config.feature_dim)
+        )
         self._resolutions = config.level_resolutions
+        # Resolutions never decrease, so the dense levels are a prefix.
+        self._num_dense = sum(
+            config.level_is_dense(level) for level in range(num_levels)
+        )
+        # Each level's first row in the stacked table, shaped to broadcast
+        # over (level, point).
+        self._row_offsets = np.arange(num_levels, dtype=np.int64)[:, None] * table_size
+
+    @property
+    def tables(self) -> List[np.ndarray]:
+        """Per-level ``(T, F)`` embedding tables (views of the stack)."""
+        return list(self._table)
+
+    @tables.setter
+    def tables(self, tables: Sequence[np.ndarray]) -> None:
+        """Replace every level table; the encoder gets a new stacked array,
+        so an encoder copied with :func:`copy.copy` stops sharing it."""
+        table = np.stack(tables)
+        cfg = self.config
+        expected = (cfg.num_levels, cfg.table_size, cfg.feature_dim)
+        if table.shape != expected:
+            raise ConfigurationError(
+                f"tables stack to {table.shape}, expected {expected}"
+            )
+        self._table = table
 
     # ------------------------------------------------------------------
     # Addressing primitives (shared with the architecture simulator)
@@ -148,67 +224,54 @@ class HashGridEncoder:
             ``(corners, weights)``: the ``(N, 8, 3)`` integer coordinates of
             each point's voxel vertices and the ``(N, 8)`` trilinear weights.
         """
-        res = int(self._resolutions[level])
-        scaled = np.asarray(points) * res
-        base = np.floor(scaled).astype(np.int64)
-        base = np.clip(base, 0, res - 1)
-        frac = scaled - base
-        corners = base[:, None, :] + CORNER_OFFSETS[None, :, :]
-        # Weight of corner (ox, oy, oz) is prod over axes of
-        # frac if offset==1 else (1-frac).
-        offs = CORNER_OFFSETS[None, :, :]
-        w = np.where(offs == 1, frac[:, None, :], 1.0 - frac[:, None, :])
-        weights = np.prod(w, axis=-1)
-        return corners, weights
-
-    def table_indices(self, corners: np.ndarray, level: int) -> np.ndarray:
-        """Embedding-table indices of vertex coordinates at ``level``.
-
-        Dense (low-resolution) levels index the grid directly; compressed
-        (high-resolution) levels hash with Eq. (2).
-        """
-        res = int(self._resolutions[level])
-        if self.config.level_is_dense(level):
-            return dense_coords_index(corners, res)
-        return hash_coords(corners, self.config.table_size)
+        corners, weights = _locate(
+            np.asarray(points), self._resolutions[level : level + 1]
+        )
+        return corners[:, :, 0].T, weights[:, 0].T
 
     # ------------------------------------------------------------------
     # Encoding
     # ------------------------------------------------------------------
-    def encode_level(self, points: np.ndarray, level: int) -> np.ndarray:
-        """Trilinearly interpolated features for one level, ``(N, F)``."""
-        corners, weights = self.voxel_vertices(points, level)
-        idx = self.table_indices(corners, level)
-        feats = self.tables[level][idx]  # (N, 8, F)
-        return np.sum(weights[..., None] * feats, axis=1)
+    def _corners(self, points: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Stacked-table rows and trilinear weights of every level's corners.
+
+        Returns ``(rows, weights)``, both ``(8, L, N)``: every level's
+        :meth:`voxel_vertices` and addressing function at once, corner
+        axis first.  ``rows`` index the stacked table viewed as
+        ``(L*T, F)``.
+        """
+        corners, weights = _locate(points, self._resolutions)
+        coords = np.moveaxis(corners, 0, -1)  # (8, L, N, 3)
+        dense = self._num_dense
+        rows = np.empty(weights.shape, dtype=np.int64)
+        rows[:, :dense] = dense_coords_index(
+            coords[:, :dense], self._resolutions[:dense, None]
+        )
+        rows[:, dense:] = hash_coords(coords[:, dense:], self.config.table_size)
+        rows += self._row_offsets
+        return rows, weights
 
     def encode(self, points: np.ndarray) -> np.ndarray:
-        """Concatenated multi-resolution encoding, ``(N, L*F)``."""
-        points = np.atleast_2d(points)
-        outs = [
-            self.encode_level(points, level)
-            for level in range(self.config.num_levels)
-        ]
-        return np.concatenate(outs, axis=-1)
+        """Concatenated multi-resolution encoding, ``(N, L*F)``.
 
-    def encode_with_cache(
-        self, points: np.ndarray
-    ) -> Tuple[np.ndarray, List[np.ndarray]]:
-        """Encode and also return per-level table indices ``(N, 8)``.
-
-        Used by the trainer (for gradient scatter) and the renderer (for
-        access tracing) so the expensive voxel location runs once.
+        Every level and corner is evaluated at once: one gather per
+        feature plane from the stacked table, then the eight corner terms
+        are added to ``+0.0`` in corner order.  That left fold is exactly
+        the per-level ``np.sum(weights[..., None] * feats, axis=1)`` for
+        ``feature_dim >= 2``.  An ``np.sum`` over the corner axis would not
+        always be: numpy adds pairwise along a contiguous reduction axis,
+        which the corner axis becomes with one level and one point.
         """
         points = np.atleast_2d(points)
-        outs = []
-        index_lists = []
-        for level in range(self.config.num_levels):
-            corners, weights = self.voxel_vertices(points, level)
-            idx = self.table_indices(corners, level)
-            feats = self.tables[level][idx]
-            outs.append(np.sum(weights[..., None] * feats, axis=1))
-            index_lists.append(idx)
-        return np.concatenate(outs, axis=-1), index_lists
+        rows, weights = self._corners(points)
+        fdim = self.config.feature_dim
+        flat = self._table.reshape(-1)
+        first = rows * fdim  # feature f of row r sits at flat[r*F + f]
+        planes = np.zeros((fdim,) + rows.shape[1:])  # (F, L, N)
+        for f, acc in enumerate(planes):
+            for term in weights * np.take(flat[f:], first):
+                acc += term
+        return planes.transpose(2, 1, 0).reshape(len(points), self.config.output_dim)
 
     def encode_backward(
         self,
@@ -219,24 +282,26 @@ class HashGridEncoder:
         """SGD update of the tables given d(loss)/d(encoding).
 
         ``grad_output`` has shape ``(N, L*F)``; gradients are scattered to
-        the eight vertices of each point's voxel with trilinear weights.
+        the eight vertices of each point's voxel with trilinear weights in
+        one ``np.add.at`` over the stacked table.  Updates are ordered by
+        level, then point, then corner, so every entry receives its
+        updates in the order of a per-level scatter.
         """
         points = np.atleast_2d(points)
-        fdim = self.config.feature_dim
-        for level in range(self.config.num_levels):
-            corners, weights = self.voxel_vertices(points, level)
-            idx = self.table_indices(corners, level)
-            g = grad_output[:, level * fdim : (level + 1) * fdim]
-            contrib = weights[..., None] * g[:, None, :]  # (N, 8, F)
-            np.add.at(
-                self.tables[level],
-                idx.reshape(-1),
-                -learning_rate * contrib.reshape(-1, fdim),
-            )
+        rows, weights = self._corners(points)
+        cfg = self.config
+        fdim = cfg.feature_dim
+        grad = np.reshape(grad_output, (len(points), cfg.num_levels, fdim))
+        contrib = -learning_rate * (weights[..., None] * grad.transpose(1, 0, 2))
+        np.add.at(
+            self._table.reshape(-1, fdim),
+            rows.transpose(1, 2, 0).reshape(-1),
+            contrib.transpose(1, 2, 0, 3).reshape(-1, fdim),
+        )
 
     def parameter_count(self) -> int:
         """Total number of trainable table entries times feature dim."""
-        return sum(t.size for t in self.tables)
+        return self._table.size
 
     def lookup_flops_per_point(self) -> int:
         """FLOPs of one point's encoding (trilinear blend, all levels).

@@ -47,8 +47,7 @@ def load_instant_ngp(path: Union[str, Path]) -> InstantNGPModel:
     grid = HashGridConfig(**payload.pop("grid"))
     config = InstantNGPConfig(grid=grid, **payload)
     model = InstantNGPModel(config)
-    for i in range(config.grid.num_levels):
-        model.encoder.tables[i] = data[f"table_{i}"]
+    model.encoder.tables = [data[f"table_{i}"] for i in range(config.grid.num_levels)]
     for prefix, mlp in (("density", model.density_mlp), ("color", model.color_mlp)):
         for i in range(len(mlp.weights)):
             mlp.weights[i] = data[f"{prefix}_w{i}"]

@@ -26,8 +26,8 @@ class TestInstantNGPCheckpoint:
         dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
         s1, c1 = model.query(pts, dirs)
         s2, c2 = loaded.query(pts, dirs)
-        np.testing.assert_allclose(s1, s2)
-        np.testing.assert_allclose(c1, c2)
+        np.testing.assert_array_equal(s1, s2)
+        np.testing.assert_array_equal(c1, c2)
 
     def test_roundtrip_preserves_config(self, tmp_path):
         model = InstantNGPModel(TEST_MODEL_CONFIG, seed=3)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.experiments.quality import QuantizedEncodingModel
 from repro.metrics.image import psnr
 from repro.nerf.quantization import (
     QuantizedInstantNGP,
@@ -50,6 +51,25 @@ class TestQuantizedModel:
         dirs = rng.normal(size=(10, 3))
         dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
         assert q.query_color(geo, dirs).shape == (10, 3)
+
+    @pytest.mark.parametrize(
+        "wrap",
+        [
+            lambda m: QuantizedInstantNGP(m, weight_bits=8, table_bits=3),
+            lambda m: QuantizedEncodingModel(m, bits=3),
+        ],
+        ids=["cim", "neurex"],
+    )
+    def test_quantized_density_differs_float_bit_identical(
+        self, trained_model, rng, wrap
+    ):
+        """The wrapper's encoder copy holds its own quantised tables."""
+        pts = rng.random((20, 3))
+        before, _ = trained_model.query_density(pts)
+        quantized, _ = wrap(trained_model).query_density(pts)
+        after, _ = trained_model.query_density(pts)
+        assert not np.array_equal(quantized, before)
+        assert after.tobytes() == before.tobytes()
 
     def test_original_model_untouched(self, trained_model, rng):
         pts = rng.random((20, 3))
