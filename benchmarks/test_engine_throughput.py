@@ -1,22 +1,27 @@
-"""Engine throughput: the batched wavefront engine vs the stepped path.
+"""Engine throughput: production frame pricing vs the per-slice reference.
 
-The before/after artefact of the profile-guided batching work.  Two
-measurements, both stated against the *same* workload so the numbers are
-comparable run to run:
+Production prices each frame once in fused passes and replays the plan
+(:mod:`repro.exec.batch`); ``tests/reference_pricer.py`` prices the same
+steps one wavefront slice at a time from the model's primitives.  The
+reference is the stepped baseline here, timed against production on the
+*same* workload so the numbers are comparable run to run:
 
 * **serve wall-clock** — the full ``repro serve`` client mix, timed once
-  with the batched engine forced off (:func:`scalar_engine`, the PR-5
-  one-``step()``-per-wavefront spelling) and once with it on.  Each mode
-  gets its own :class:`Workbench` and its own untimed warmup run, so
-  neither mode is flattered by memo caches the other populated.
+  priced by the reference (the ``scalar`` keys of the payload) and once
+  by production (the ``batched`` keys).  Each mode gets its own
+  :class:`Workbench` and its own untimed warmup run, so neither mode is
+  flattered by memo caches the other populated.
 * **frame microbench** — wavefront steps per second through one
-  multi-step :class:`FrameExecution`, stepped vs ``run()``.
+  multi-step :class:`FrameExecution`, reference vs production.
+* **cold frames** — fresh traces of growing size, reference vs
+  production, so plan assembly is timed with nothing memoised.
 
-Speed claims are only meaningful if the fast path computes the same
-thing, so the serve measurement *asserts bit-identity* — every
-``ServeReport.to_rows()`` row, every policy — between the two modes
-before it reports a speedup.  A divergence fails the benchmark (and the
-CI smoke job) rather than shipping a fast wrong number.
+Speed claims are only meaningful if production computes the same thing,
+so every measurement *asserts bit-identity* — every
+``ServeReport.to_rows()`` row, every policy, every frame report —
+between the two before it reports a speedup.  A divergence fails the
+benchmark (and the CI smoke job) rather than shipping a fast wrong
+number.
 
 Runs two ways:
 
@@ -34,15 +39,14 @@ mix; CI regenerates a small-config one per push and fails on divergence.
 
 from __future__ import annotations
 
+import importlib.util
 import json
-import os
 import time
+from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.exec.batch import cold_plan_point_limit
-from repro.exec.execution import scalar_engine
 from repro.exec.frame_trace import FrameTrace
 from repro.experiments.serving import default_client_mix, serve_reports
 from repro.experiments.workbench import Workbench, experiment_accelerator
@@ -52,6 +56,19 @@ try:  # CI's serve-smoke job runs script mode on a bare numpy install
     import pytest
 except ImportError:  # pragma: no cover
     pytest = None  # type: ignore[assignment]
+
+
+def _load_reference_pricer():
+    """Import ``tests/reference_pricer.py`` by path (script mode runs
+    without the repo root on ``sys.path``)."""
+    path = Path(__file__).resolve().parents[1] / "tests" / "reference_pricer.py"
+    spec = importlib.util.spec_from_file_location("reference_pricer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+reference_engine = _load_reference_pricer().reference_engine
 
 
 def _best_of(fn: Callable[[], object], rounds: int) -> float:
@@ -80,7 +97,8 @@ def serve_benchmark(
     quantum: int = 2,
     rounds: int = 3,
 ) -> Dict[str, object]:
-    """Time the serving mix scalar vs batched; assert bit-identity.
+    """Time the serving mix reference (``scalar``) vs production
+    (``batched``); assert bit-identity.
 
     Each mode builds a fresh :class:`Workbench`, pre-renders every client
     sequence (rendering is outside the engine being measured), runs one
@@ -100,7 +118,7 @@ def serve_benchmark(
             rows_by_mode[mode] = _serve_rows(wb, requests, quantum)
 
         if mode == "scalar":
-            with scalar_engine():
+            with reference_engine():
                 run()  # warmup
                 seconds = _best_of(run, rounds)
         else:
@@ -110,8 +128,8 @@ def serve_benchmark(
 
     identical = rows_by_mode["scalar"] == rows_by_mode["batched"]
     assert identical, (
-        "batched serving diverged from the scalar engine — the batched "
-        "path must be bit-identical before its speed means anything"
+        "production serving diverged from the reference pricer — it must "
+        "be bit-identical before its speed means anything"
     )
     results["identical_rows"] = identical
     results["policies"] = sorted(rows_by_mode["batched"])
@@ -135,14 +153,12 @@ def frame_microbenchmark(
     size: int = 16, groups: int = 8, rounds: int = 3
 ) -> Dict[str, object]:
     """Wavefront steps per second through one serving-scale frame,
-    stepped vs batched, on the acceptance-scale accelerator.
+    reference (stepped) vs production, on the acceptance-scale
+    accelerator.
 
-    Sized like the frames the serve mix actually schedules (16x16,
-    a handful of budget groups): that is the regime the batched engine
-    was profiled against.  On much larger cold frames the per-execution
-    plan assembly can eat the fused-pass win — the serving speedup comes
-    from modest frames plus cross-execution plan/stream reuse, which the
-    serve benchmark above measures directly."""
+    Sized like the frames the serve mix actually schedules (16x16, a
+    handful of budget groups); larger frames are timed cold by
+    :func:`cold_plan_benchmark`."""
     acc = experiment_accelerator("server")
     cam = camera_path("orbit", 1, size, size, arc=0.4).cameras()[0]
     budgets = (1 + (np.arange(size * size) % groups) * 3).astype(np.int64)
@@ -151,7 +167,7 @@ def frame_microbenchmark(
     state: Dict[str, object] = {}
 
     def run_stepped() -> None:
-        with scalar_engine():
+        with reference_engine():
             ex = acc.trace_execution(trace)
             while not ex.done:
                 ex.step()
@@ -170,7 +186,7 @@ def frame_microbenchmark(
     run_batched()  # warmup
     batched_s = _best_of(run_batched, rounds)
     assert state["stepped"] == state["batched"], (
-        "batched frame pricing diverged from the stepped engine"
+        "production frame pricing diverged from the reference pricer"
     )
     return {
         "steps": int(state["n"]),
@@ -188,18 +204,14 @@ def cold_plan_benchmark(
     budget_scale: int = 1,
     rounds: int = 2,
 ) -> Dict[str, object]:
-    """Stepped vs planned wall-clock on *cold* frames — the measurement
-    behind :data:`repro.exec.batch.COLD_PLAN_POINT_LIMIT`.
+    """Reference (stepped) vs production (planned) wall-clock on *cold*
+    frames.
 
     Every timed pass builds a **fresh** trace (no memoised streams, no
-    plan — the genuinely cold case a one-shot large frame hits), so the
-    numbers show where plan assembly stops paying for itself.  ``run()``
-    consults :func:`~repro.exec.batch.plan_build_worthwhile` and falls
-    back to the stepped engine above the limit; both paths price
-    bit-identically (asserted here), so the heuristic is purely a
-    wall-clock choice.  The committed full sweep put the crossover
-    between ~47k and ~94k density points; the smoke sizes here stay
-    below it so CI never pays the slow side.
+    plan — the case a one-shot large frame hits), so production pays its
+    whole plan assembly.  Both price bit-identically (asserted here).
+    ``sizes`` are frame edges in pixels; each doubling quadruples the
+    density points (16 → 2,944, 32 → 11,776, 64 → 47,104).
     """
     acc = experiment_accelerator("server")
     points_list: List[Dict[str, object]] = []
@@ -217,17 +229,16 @@ def cold_plan_benchmark(
             trace = make_trace()  # fresh: cold memo, cold setup cache
             ex = acc.trace_execution(trace)
             if mode == "stepped":
-                with scalar_engine():
+                with reference_engine():
                     state["stepped"] = _report_key(ex.finish())
             else:
-                ex.run_vectorized()
                 state["planned"] = _report_key(ex.finish())
-            state["points"] = ex._total_points
+            state["points"] = trace.density_points
 
         stepped_s = _best_of(lambda: run_cold("stepped"), rounds)
         planned_s = _best_of(lambda: run_cold("planned"), rounds)
         assert state["stepped"] == state["planned"], (
-            "planned cold-frame pricing diverged from the stepped engine"
+            "production cold-frame pricing diverged from the reference"
         )
         points_list.append(
             {
@@ -240,10 +251,7 @@ def cold_plan_benchmark(
                 ),
             }
         )
-    return {
-        "cold_plan_point_limit": cold_plan_point_limit(),
-        "frames": points_list,
-    }
+    return {"frames": points_list}
 
 
 def engine_bench_payload(
@@ -282,15 +290,15 @@ if pytest is not None:
 
     @pytest.mark.parametrize("quantum", [2])
     def test_serve_bit_identity_and_speedup(benchmark, quantum):
-        """Smoke scale: batched serving is bit-identical to scalar and
-        not slower.  The hard >=5x claim lives in the committed
-        full-scale ``BENCH_engine.json``; at 2 clients x 2 frames x 8x8
-        fixed overheads dominate, so only direction is asserted here."""
+        """Smoke scale: production serving is bit-identical to the
+        reference pricer.  The speedup lives in the committed full-scale
+        ``BENCH_engine.json``; at 2 clients x 2 frames x 8x8 fixed
+        overheads dominate, so nothing about speed is asserted here."""
         wb = Workbench()
         requests = default_client_mix(clients=2, frames=2, size=8)
         for request in requests:
             wb.client_sequence(request)
-        with scalar_engine():
+        with reference_engine():
             scalar_rows = _serve_rows(wb, requests, quantum)
         rows = benchmark.pedantic(
             lambda: _serve_rows(wb, requests, quantum),
@@ -299,30 +307,11 @@ if pytest is not None:
         )
         assert rows == scalar_rows
 
-    def test_cold_plan_fallback_is_bit_identical(monkeypatch):
-        """Above ``REPRO_COLD_PLAN_LIMIT`` a cold `run()` falls back to
-        the stepped engine (no plan is built) and still prices
-        bit-identically to forcing the planner."""
-        acc = experiment_accelerator("server")
-        cam = camera_path("orbit", 1, 16, 16, arc=0.4).cameras()[0]
-        budgets = (1 + (np.arange(16 * 16) % 8) * 3).astype(np.int64)
-
-        monkeypatch.setenv("REPRO_COLD_PLAN_LIMIT", "1")
-        ex = acc.trace_execution(FrameTrace.from_budgets(cam, budgets))
-        fallback = _report_key(ex.finish())
-        assert ex._plan is None, "cold fallback must not build a plan"
-
-        monkeypatch.delenv("REPRO_COLD_PLAN_LIMIT")
-        ex = acc.trace_execution(FrameTrace.from_budgets(cam, budgets))
-        planned = _report_key(ex.finish())
-        assert ex._plan is not None
-        assert fallback == planned
-
     def test_frame_micro_identity(benchmark):
-        """The single-frame hot loop: batched pricing matches stepping
-        bit-for-bit (asserted inside the microbenchmark); the speedup is
-        reported, not thresholded — wall-clock gates live in the
-        committed snapshot, not in CI-noise territory."""
+        """The single-frame hot loop: production pricing matches the
+        reference bit-for-bit (asserted inside the microbenchmark); the
+        speedup is reported, not thresholded — wall-clock gates live in
+        the committed snapshot, not in CI-noise territory."""
         micro = benchmark.pedantic(
             lambda: frame_microbenchmark(size=16, groups=8, rounds=1),
             rounds=1,
@@ -330,8 +319,8 @@ if pytest is not None:
         )
         print(
             f"\n== engine micro | {micro['steps']} steps: "
-            f"stepped {micro['stepped_steps_per_s']}/s vs "
-            f"batched {micro['batched_steps_per_s']}/s "
+            f"reference {micro['stepped_steps_per_s']}/s vs "
+            f"production {micro['batched_steps_per_s']}/s "
             f"({micro['speedup']}x)"
         )
         assert micro["identical_reports"]
@@ -363,12 +352,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     serve = payload["serve"]
     micro = payload["frame_micro"]
     print(
-        f"serve   : scalar {serve['scalar_seconds']}s -> "
-        f"batched {serve['batched_seconds']}s "
+        f"serve   : reference {serve['scalar_seconds']}s -> "
+        f"production {serve['batched_seconds']}s "
         f"({serve['speedup']}x, identical rows)"
     )
     print(
-        f"frame   : {micro['stepped_steps_per_s']}/s -> "
+        f"frame   : reference {micro['stepped_steps_per_s']}/s -> "
         f"{micro['batched_steps_per_s']}/s steps ({micro['speedup']}x)"
     )
     with open(args.out, "w") as fh:

@@ -138,9 +138,6 @@ class _SequenceMemoScope:
     def memo_hook(self, prefix: Tuple):
         return self._sequence.memo_hook((self._frame,) + prefix)
 
-    def memo_contains(self, key: Tuple) -> bool:
-        return self._sequence.memo_contains((self._frame,) + key)
-
 
 @dataclass
 class SequenceSimReport:

@@ -7,20 +7,22 @@ serialise, and (d) fuses the fetched embeddings by trilinear interpolation.
 Stages are pipelined, so a wavefront's cycle cost is the maximum of the
 stage costs; levels own independent banks and caches and proceed in
 parallel, contending only for address-generation bandwidth.
+
+:class:`EncodingEngine` holds one design's address generator, register
+caches and crossbar banks; :mod:`repro.exec.batch` prices every wavefront
+of a frame against them.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Dict, List
+from dataclasses import dataclass
+from typing import Dict
 
 import numpy as np
 
 from repro.arch.config import ArchConfig
-from repro.arch.trace import EncodingBatch
 from repro.cim.address import HybridAddressGenerator
-from repro.cim.cache import RegisterCache, previous_occurrence_gaps
+from repro.cim.cache import RegisterCache
 from repro.cim.memxbar import MemXbarBank
 from repro.nerf.hashgrid import HashGridConfig
 
@@ -71,7 +73,8 @@ class EncodingReport:
 
 
 class EncodingEngine:
-    """Trace-driven model of the encoding engine."""
+    """One design's encoding-engine hardware: the hybrid address
+    generator, the per-level register caches and memory-crossbar banks."""
 
     def __init__(self, config: ArchConfig, grid: HashGridConfig) -> None:
         self.config = config
@@ -89,7 +92,6 @@ class EncodingEngine:
             )
             for level in range(grid.num_levels)
         }
-        self._request_counter = 0
         # Identifies this engine's address mapping in trace memo keys: two
         # engines sharing grid + mode generate identical address streams.
         self._stream_key = (
@@ -113,122 +115,3 @@ class EncodingEngine:
             if self.generator.level_storage_entries(level) < 2**31
             else np.int64
         )
-
-    def skip_requests(self, num_points: int) -> None:
-        """Advance the request counter past ``num_points`` sample points
-        priced outside :meth:`process_batch` (the batched execution plan).
-
-        Request ids only select which replicated table copy a dense-level
-        lookup addresses, and they restart at zero per execution, so a
-        request's id always equals its global point index within the
-        frame.  The batched planner relies on that to derive striped
-        addresses without the engine; this keeps the counter in sync so a
-        later stepped resume of the same execution stripes identically.
-        """
-        self._request_counter += num_points
-
-    def process_batch(
-        self, batch: EncodingBatch, temporal=None
-    ) -> EncodingReport:
-        """Simulate one wavefront; returns its cycle/energy report.
-
-        Args:
-            batch: The wavefront's corner streams.
-            temporal: Optional
-                :class:`~repro.cim.cache.TemporalVertexCache` holding the
-                previous frame's working set (sequence simulation).  Hits
-                bypass the memory crossbars like register-cache hits; the
-                frame's own addresses are recorded for the next frame.
-        """
-        report = EncodingReport()
-        p = batch.num_points
-        request_ids = self._request_counter + np.arange(p)
-        self._request_counter += p
-
-        def memoised(key, compute):
-            return batch.memo(key, compute) if batch.memo is not None else compute()
-
-        total_addresses = p * 8 * self.grid.num_levels
-        addr_gen_cycles = math.ceil(total_addresses / self.config.address_units)
-
-        level_read_cycles: List[int] = []
-        for level, corners in batch.corners.items():
-            # The register cache tags *logical* entries; replication only
-            # affects which physical crossbar serves a miss.  Address
-            # generation is a pure function of the corner stream, so
-            # replayed traces memoise it alongside the gap arrays (in the
-            # narrowest dtype the level's address space permits).
-            compact = self.compact_dtype(level)
-            logical = memoised(
-                ("addr", level) + self._stream_key,
-                lambda: self.generator.addresses(corners, level, None).astype(
-                    compact
-                ),
-            )
-            stream = logical.reshape(-1)
-            # Access distances are a pure property of the stream; replayed
-            # traces memoise them so repeated simulations of one frame
-            # (and cache-size sweeps) skip the sort-based recomputation.
-            gaps = None
-            if batch.memo is not None and self.caches[level].window > 0:
-                # uint16-clipped: replay falls back to a full recomputation
-                # for windows beyond the clip bound (no swept design is).
-                gaps = memoised(
-                    ("gaps", level) + self._stream_key,
-                    lambda: np.minimum(
-                        previous_occurrence_gaps(stream),
-                        np.iinfo(np.uint16).max,
-                    ).astype(np.uint16),
-                )
-            hits = self.caches[level].replay(stream, level, gaps=gaps)
-            report.lookups += logical.size
-            report.cache_hits += int(hits.sum())
-            served = hits
-            if temporal is not None:
-                t_hits = temporal.lookup(
-                    stream, level, memo=batch.memo,
-                    stream_key=self._stream_key,
-                ) & ~hits
-                temporal.record(stream, level)
-                report.temporal_hits += int(t_hits.sum())
-                served = hits | t_hits
-            # Physical addresses differ from logical ones only on levels
-            # whose replicated copies stripe by request id.  Request ids
-            # restart per simulation and slices are visited in trace
-            # order, so the striped stream is as replay-stable as the
-            # logical one and memoises under the same scope.
-            if self.generator.striped(level):
-                physical = memoised(
-                    ("addr_striped", level) + self._stream_key,
-                    lambda: self.generator.addresses(
-                        corners, level, request_ids
-                    ).astype(compact),
-                )
-            else:
-                physical = logical
-            misses = np.where(served, -1, physical.reshape(-1)).reshape(p, 8)
-            stats = self.banks[level].read_cycles(misses)
-            report.xbar_accesses += stats.accesses
-            report.conflict_cycles += stats.conflicts
-            report.xbar_energy_pj += stats.energy_pj
-            level_read_cycles.append(stats.cycles)
-
-        # Hybrid mapping gives every level a dedicated crossbar bank, so
-        # levels read in parallel.  The original hash layout interleaves
-        # tables across shared crossbars ("each row containing entries from
-        # different tables", Section 3 Challenge 3), forcing the levels'
-        # reads to serialise.
-        if level_read_cycles:
-            if self.config.mapping_mode == "hybrid":
-                read_cycles = max(level_read_cycles)
-            else:
-                read_cycles = sum(level_read_cycles)
-        else:
-            read_cycles = 0
-        # Each fusion lane completes one trilinear interpolation (8 vertex
-        # feature vectors -> 1 feature) per cycle.
-        interpolations = p * self.grid.num_levels
-        fusion_cycles = math.ceil(interpolations / self.config.fusion_lanes)
-        report.read_cycles = read_cycles
-        report.cycles = max(addr_gen_cycles, read_cycles, fusion_cycles)
-        return report

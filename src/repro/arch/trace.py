@@ -14,7 +14,7 @@ supplied instead of re-tracing rays.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -33,17 +33,11 @@ class EncodingBatch:
             batch's sample points, in render order.
         point_ray: ``(P,)`` ray index of each point (for locality studies).
         num_points: Points in the batch.
-        memo: Optional memoisation hook ``(key, compute) -> array`` for
-            stream-derived arrays (e.g. register-cache access distances).
-            Trace replay binds it to the originating
-            :class:`~repro.exec.frame_trace.FrameTrace`, so repeated
-            simulations of one frame skip re-deriving identical streams.
     """
 
     corners: Dict[int, np.ndarray]
     point_ray: np.ndarray
     num_points: int
-    memo: Optional[Callable[[Tuple, Callable[[], np.ndarray]], np.ndarray]] = None
 
 
 def _points_for_rays(

@@ -347,28 +347,10 @@ class RegisterCache:
     def window(self) -> int:
         return int(round(self.capacity * self.window_scale))
 
-    def replay(
-        self,
-        stream: np.ndarray,
-        level: int = 0,
-        gaps: np.ndarray = None,
-    ) -> np.ndarray:
-        """Replay an address stream; returns the hit mask and logs stats.
-
-        Args:
-            stream: Flat address stream.
-            gaps: Optional precomputed (and possibly clipped) access-
-                distance array for ``stream`` — a pure property of the
-                stream that trace replay memoises across simulations.
-                Clipping is safe as long as the clip bound exceeds the
-                window, which the caller guarantees via the dtype's range.
-        """
-        if self.window <= 0:
-            hits = np.zeros(len(np.asarray(stream).reshape(-1)), dtype=bool)
-        elif gaps is not None and self.window < np.iinfo(gaps.dtype).max:
-            hits = gaps <= self.window
-        else:
-            hits = window_hits(stream, self.window)
+    def replay(self, stream: np.ndarray, level: int = 0) -> np.ndarray:
+        """Replay a flat address stream; returns the hit mask and logs
+        stats."""
+        hits = window_hits(stream, self.window)
         st = self.stats.setdefault(level, CacheStats())
         st.accesses += int(len(hits))
         st.hits += int(hits.sum())

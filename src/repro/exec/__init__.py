@@ -27,16 +27,14 @@ temporal vertex cache among tenants sharing an accelerator.
 
 :mod:`repro.exec.scheduler` holds the budget-group wavefront scheduler the
 renderer, the trace generator and the simulator all share, plus those
-frame-granularity serving primitives.
+frame-granularity serving primitives.  Every frame is priced one way: a
+resumable :class:`~repro.exec.execution.FrameExecution` cursor replays the
+:class:`~repro.exec.batch.FramePlan` that
+:func:`~repro.exec.batch.build_frame_plans` builds in fused passes.
 """
 
 from repro.exec.batch import FramePlan, PlannedStep, build_frame_plans
-from repro.exec.execution import (
-    FrameExecution,
-    batched_enabled,
-    scalar_engine,
-    sequence_executions,
-)
+from repro.exec.execution import FrameExecution, sequence_executions
 from repro.exec.frame_trace import (
     PHASE_MAIN,
     PHASE_PROBE,
@@ -69,9 +67,7 @@ __all__ = [
     "PHASE_MAIN",
     "PHASE_PROBE",
     "PlannedStep",
-    "batched_enabled",
     "build_frame_plans",
-    "scalar_engine",
     "sequence_executions",
     "WORK_PROBE",
     "WORK_REPLAY",

@@ -1,45 +1,46 @@
-"""Batched wavefront pricing: the vectorised fast path of FrameExecution.
+"""Frame pricing: every wavefront slice of a frame in fused numpy passes.
 
-Profiling the serving event loop (``repro serve --profile``) shows the
-wall clock living in per-slice, per-level numpy calls: every
-:meth:`~repro.exec.execution.FrameExecution.step` rebuilds corner arrays,
-re-sums color masks and issues one small ``np.unique`` / ``np.isin`` /
-bank-conflict replay per resolution level.  This module collapses that
-call-shaped loop into array shape: :func:`build_frame_plans` prices every
-wavefront slice of one or more frames with **one numpy pass per
-resolution level per frame** (and a single crossbar conflict replay for
-the whole batch) and stores the results as a :class:`FramePlan` — a
-per-step list of pre-assembled report fragments the execution cursor
-merges in plain Python, plus the per-level unique address sets the
-temporal cache records before the frame-boundary commit.
+A frame's wavefront slices are priced by the per-slice model of Section
+5.2 — corner addresses, register-cache window hits, temporal hits,
+crossbar conflicts, MLP/render engines and buffer stalls — but not one
+slice at a time: that spelling spends its wall clock in per-slice,
+per-level numpy calls.  :func:`build_frame_plans` prices every slice of
+one or more frames with **one numpy pass per resolution level per
+frame** (and a few row-bounded crossbar conflict replays for the whole
+batch) and stores the results as a :class:`FramePlan` — a per-step list
+of pre-assembled report fragments the execution cursor merges in plain
+Python, plus the per-level unique address sets the temporal cache
+records before the frame-boundary commit.
 
-**Bit-identity is the contract.**  A plan entry holds exactly what
-``step()`` would have produced for that slice, computed with the same
-arithmetic in the same order:
+**Bit-identity with the per-slice model is the contract** (the
+per-slice reference pricer in ``tests/reference_pricer.py`` is the
+oracle).  A plan entry holds exactly what pricing that slice alone
+produces, computed with the same arithmetic in the same order:
 
-* per-slice access-distance gaps come from *one* call of
-  :func:`~repro.cim.cache.previous_occurrence_gaps` over the frame's
+* per-slice register-cache hits come from *one* pass over the frame's
   concatenated stream, keyed as ``slice_id * stride + address`` — chunk
   offsets larger than any address make cross-slice matches impossible
   while preserving exact within-slice distances;
-* per-slice crossbar conflicts come from one
-  :meth:`~repro.cim.memxbar.MemXbarBank.read_cycles_segments` pass (the
+* per-slice crossbar conflicts come from
+  :meth:`~repro.cim.memxbar.MemXbarBank.read_cycles_segments` passes (the
   conflict model is additive over issue groups, so segment sums equal
   per-slice replays exactly; bank outputs depend only on the crossbar
   geometry, never on a level's entry count, so every level — and every
-  tenant sharing an accelerator design — batches into one call);
+  tenant sharing an accelerator design — batches into one call, cut into
+  several at slice boundaries only when the rows exceed a fixed cap that
+  bounds the pass's temporaries);
 * the non-linear per-slice arithmetic — ``ceil`` address-generation and
   fusion terms, ``max`` stage combining, MLP/render engine pricing,
   buffer stalls — is *not* vectorised across slices: it is replicated
   verbatim per slice (cheap scalar math), because those expressions do
   not distribute over batches;
-* float accumulation (crossbar/MLP energy) keeps the stepped engine's
+* float accumulation (crossbar/MLP energy) keeps the per-slice model's
   left-fold order: per level within a slice, then per slice.
 
 Temporal-cache state: lookups are evaluated against the resident set at
 plan-build time and the plan carries the cache's
 :attr:`~repro.cim.cache.TemporalVertexCache.resident_token`; the
-execution cursor revalidates the token on every batched advance (and at
+execution cursor revalidates the token on every advance (and at
 :meth:`~repro.exec.execution.FrameExecution.attach_plan`), so an elastic
 re-partition that trims the resident set mid-frame forces a rebuild
 against the new content instead of replaying stale hit masks.  Recorded
@@ -50,9 +51,8 @@ union of all pending chunks, so one deduplicated per-level record at the
 frame's end commits exactly what per-slice recording would have.
 
 Plan building is *observably* side-effect free: it touches no
-``SimReport``, never records into or commits the temporal cache, and
-advances no request counter.  (Private diagnostic counters — register/
-temporal cache hit statistics — are maintained for parity, and the
+``SimReport`` and never records into or commits the temporal cache.
+(Only the temporal cache's diagnostic lookup statistics advance, and the
 derived streams memoise on the trace.)  That is what makes the
 cross-tenant seam in :class:`~repro.serving.server.SequenceServer` sound:
 when several ready clients have unstarted fresh head frames, their plans
@@ -64,14 +64,14 @@ predecessor, so the prices cannot depend on how the quanta interleave.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cim.cache import CacheStats, previous_occurrence_gaps
+from repro.cim.cache import previous_occurrence_gaps
 from repro.errors import SimulationError
+from repro.nerf.hashgrid import CORNER_OFFSETS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.arch.encoding_engine import EncodingReport
@@ -104,11 +104,10 @@ class FramePlan:
 
     Attributes:
         steps: One :class:`PlannedStep` per execution step, in step order.
-        records: ``(step_threshold, level, unique_addresses)`` triples —
-            the frame's per-level temporal working set, recorded into the
-            cache's pending set once the cursor passes ``step_threshold``
-            (and unconditionally at ``finish()``, always before the
-            frame-boundary commit that makes the pending set visible).
+        records: ``(level, unique_addresses)`` pairs — the frame's
+            per-level temporal working set, recorded into the cache's
+            pending set once the cursor has executed every step (always
+            before the frame-boundary commit that makes it visible).
         temporal_token: The resident-content token the temporal hit masks
             were computed against (``None`` when priced without a cache).
         total_points: Density-MLP points over all steps (plan/execution
@@ -116,7 +115,7 @@ class FramePlan:
     """
 
     steps: List[PlannedStep]
-    records: List[Tuple[int, int, np.ndarray]]
+    records: List[Tuple[int, np.ndarray]]
     temporal_token: Optional[tuple]
     total_points: int
 
@@ -135,7 +134,7 @@ def build_frame_plans(
     _fused_bank_pass(executions, pricings)
     plans = [_assemble_plan(ex, pricing) for ex, pricing in zip(executions, pricings)]
     for ex, plan in zip(executions, plans):
-        ex._set_plan(plan)
+        ex._plan = plan
         if ex._recorder is not None:
             from repro.obs.events import EV_PLAN_BUILD
 
@@ -147,54 +146,6 @@ def build_frame_plans(
                 batch_size=len(executions),
             )
     return plans
-
-
-#: Density-point count above which a *cold* frame (no memoised streams,
-#: no reuse signal) is cheaper to run on the stepped engine than to plan:
-#: plan assembly is dominated by the fused whole-frame stream
-#: derivations, whose cost grows superlinearly with the concatenated
-#: stream length while their payoff (per-step numpy call overhead
-#: removed) grows only with step count.  Measured on the
-#: `benchmarks/test_engine_throughput.py` cold-frame sweep (planning won
-#: below ~47k points, lost 1.3-3.9x from ~94k up); override with
-#: ``REPRO_COLD_PLAN_LIMIT`` (``0`` disables the fallback entirely,
-#: i.e. always plan).
-COLD_PLAN_POINT_LIMIT = 65_536
-
-
-def cold_plan_point_limit() -> int:
-    """The cold-frame point limit, honouring ``REPRO_COLD_PLAN_LIMIT``."""
-    raw = os.environ.get("REPRO_COLD_PLAN_LIMIT")
-    if raw is None:
-        return COLD_PLAN_POINT_LIMIT
-    try:
-        return int(raw)
-    except ValueError:
-        raise SimulationError(
-            f"REPRO_COLD_PLAN_LIMIT must be an integer, got {raw!r}"
-        ) from None
-
-
-def plan_build_worthwhile(ex: "FrameExecution") -> bool:
-    """Whether planning ``ex`` beats stepping it — the size/reuse
-    heuristic behind the engine's cold-plan fallback.
-
-    Planning always wins on small/medium frames and on any frame whose
-    derived streams are already warm on the trace memo (a replayed frame,
-    or a serving tenant whose plan was batched earlier — replaying
-    memoised streams skips the expensive derivations, so assembly is
-    nearly free).  Only a *large cold* frame loses: there the stepped
-    engine is cheaper, and since both paths are bit-identical the choice
-    is purely a wall-clock one.
-    """
-    limit = cold_plan_point_limit()
-    if limit <= 0 or ex._total_points <= limit:
-        return True
-    config = ex.accelerator.config
-    sk = tuple(ex._encoding_engine.stream_key)
-    return ex._memo_scope.memo_contains(
-        ("fplan", config.wavefront_rays, "addr", 0) + sk
-    )
 
 
 # ----------------------------------------------------------------------
@@ -213,7 +164,7 @@ class _ExecutionPricing:
     temporal_hits: Dict[int, np.ndarray] = field(default_factory=dict)
     #: Per level: per-slice (cycles, accesses, conflicts, energy) arrays.
     read_segments: Dict[int, Tuple] = field(default_factory=dict)
-    records: List[Tuple[int, int, np.ndarray]] = field(default_factory=list)
+    records: List[Tuple[int, np.ndarray]] = field(default_factory=list)
     temporal_token: Optional[tuple] = None
 
 
@@ -221,8 +172,7 @@ def _price_encoding(ex: "FrameExecution") -> _ExecutionPricing:
     """Stream pass: one fused call per resolution level over the whole
     frame — logical/striped addresses, register-cache hits
     (composite-keyed gaps), temporal hits, miss issue groups and
-    per-slice hit counts.  Frame-level arrays memoise on the trace under
-    keys disjoint from the stepped engine's per-slice keys."""
+    per-slice hit counts.  Frame-level arrays memoise on the trace."""
     if ex._scanout:
         raise SimulationError("scan-out executions have no wavefront plan")
     out = _ExecutionPricing()
@@ -257,7 +207,7 @@ def _price_encoding(ex: "FrameExecution") -> _ExecutionPricing:
             if not corner_cache:
                 corner_cache.append(
                     ex._corner_bases[level].astype(np.int64)[:, None, :]
-                    + ex._corner_offsets
+                    + CORNER_OFFSETS[None, :, :]
                 )
             return corner_cache[0]
 
@@ -294,7 +244,7 @@ def _price_encoding(ex: "FrameExecution") -> _ExecutionPricing:
             t_hits = t_full & ~hits
             served = hits | t_full
             unique_stream = hook(("uniq", level) + sk, lambda: np.unique(stream))
-            out.records.append((ex._steps_total, level, unique_stream))
+            out.records.append((level, unique_stream))
             out.temporal_hits[level] = np.add.reduceat(
                 t_hits.astype(np.int64), starts
             )
@@ -302,8 +252,7 @@ def _price_encoding(ex: "FrameExecution") -> _ExecutionPricing:
             out.temporal_hits[level] = np.zeros(len(sizes), dtype=np.int64)
         if gen.striped(level):
             # Request ids restart per execution and advance one per point,
-            # so a request's id equals its global point index in the frame
-            # (see `EncodingEngine.skip_requests`).
+            # so a request's id equals its global point index in the frame.
             if request_ids is None:
                 request_ids = np.arange(total, dtype=np.int64)
             physical = hook(
@@ -316,13 +265,7 @@ def _price_encoding(ex: "FrameExecution") -> _ExecutionPricing:
             physical = logical
         misses = np.where(served, -1, physical.reshape(-1)).reshape(total, 8)
         out.miss_blocks.append((level, misses))
-        hit_sums = np.add.reduceat(hits.astype(np.int64), starts)
-        out.cache_hits[level] = hit_sums
-        # Mirror the stepped replay's diagnostic counters (unobservable in
-        # any SimReport, but kept equivalent in aggregate).
-        st = engine.caches[level].stats.setdefault(level, CacheStats())
-        st.accesses += stream.size
-        st.hits += int(hit_sums.sum())
+        out.cache_hits[level] = np.add.reduceat(hits.astype(np.int64), starts)
     return out
 
 
@@ -367,9 +310,8 @@ def _composite_gaps(stream: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     Offsetting each slice's addresses into a disjoint key range keeps
     within-slice index distances exact (the chunks stay contiguous) while
     making a repeat across a slice boundary look like a first occurrence —
-    exactly the stepped engine's per-slice
-    :func:`~repro.cim.cache.previous_occurrence_gaps` results,
-    concatenated.
+    exactly the per-slice :func:`~repro.cim.cache.previous_occurrence_gaps`
+    results, concatenated.
     """
     if stream.size == 0:
         return previous_occurrence_gaps(stream)
@@ -379,16 +321,46 @@ def _composite_gaps(stream: np.ndarray, sizes: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------
 # Pass 2: fused crossbar conflict replay
 # ----------------------------------------------------------------------
+#: Most issue-group rows one conflict replay receives.  Each int64
+#: temporary of the replay is ``rows x 8`` wide, so the cap bounds every
+#: temporary at about 8 MB however large the frame or tenant batch.
+_BANK_PASS_MAX_ROWS = 1 << 17
+
+
+def _bank_calls(blocks: Sequence[Tuple]) -> List[List[Tuple]]:
+    """Pack ``(sizes, misses)`` blocks, in order, into calls of at most
+    :data:`_BANK_PASS_MAX_ROWS` rows.  Only a block above the cap on its
+    own is cut, into its slices, so every cut falls on a slice boundary
+    (a single slice above the cap is a call of its own)."""
+    calls: List[List[Tuple]] = [[]]
+    rows = 0
+    for sizes, misses in blocks:
+        pieces = [(sizes, misses)]
+        if len(misses) > _BANK_PASS_MAX_ROWS:
+            pieces = zip(
+                np.split(sizes, np.arange(1, len(sizes))),
+                np.split(misses, np.cumsum(sizes)[:-1]),
+            )
+        for piece_sizes, piece in pieces:
+            if calls[-1] and rows + len(piece) > _BANK_PASS_MAX_ROWS:
+                calls.append([])
+                rows = 0
+            calls[-1].append((piece_sizes, piece))
+            rows += len(piece)
+    return calls
+
+
 def _fused_bank_pass(
     executions: Sequence["FrameExecution"],
     pricings: Sequence[_ExecutionPricing],
 ) -> None:
-    """One segmented conflict replay per bank geometry, across every
+    """Segmented conflict replays per bank geometry, across every
     execution and level.  Bank outputs depend only on the crossbar row
     count and memory device (never on a level's entry count), so all
     levels — and all tenants sharing an accelerator config — batch into
-    a single :meth:`~repro.cim.memxbar.MemXbarBank.read_cycles_segments`
-    call."""
+    :meth:`~repro.cim.memxbar.MemXbarBank.read_cycles_segments` calls of
+    at most :data:`_BANK_PASS_MAX_ROWS` rows each (one call when the
+    batch fits)."""
     geometries: dict = {}
     for ei, (ex, pricing) in enumerate(zip(executions, pricings)):
         if not pricing.miss_blocks:
@@ -401,11 +373,17 @@ def _fused_bank_pass(
             entry["blocks"].append((ei, level, pricing.sizes, misses))
     for entry in geometries.values():
         blocks = entry["blocks"]
-        misses_all = np.concatenate([b[3] for b in blocks], axis=0)
-        sizes_all = np.concatenate([b[2] for b in blocks])
-        bounds = np.concatenate([[0], np.cumsum(sizes_all)])
-        cycles, accesses, conflicts, energy = entry["bank"].read_cycles_segments(
-            misses_all, bounds
+        outputs = []
+        for call in _bank_calls([(b[2], b[3]) for b in blocks]):
+            sizes_all = np.concatenate([piece[0] for piece in call])
+            outputs.append(
+                entry["bank"].read_cycles_segments(
+                    np.concatenate([piece[1] for piece in call], axis=0),
+                    np.concatenate([[0], np.cumsum(sizes_all)]),
+                )
+            )
+        cycles, accesses, conflicts, energy = (
+            np.concatenate(parts) for parts in zip(*outputs)
         )
         offset = 0
         for ei, level, sizes, _ in blocks:
@@ -420,24 +398,25 @@ def _fused_bank_pass(
 
 
 # ----------------------------------------------------------------------
-# Pass 3: per-slice report assembly (scalar arithmetic, stepped order)
+# Pass 3: per-slice report assembly (scalar arithmetic, step order)
 # ----------------------------------------------------------------------
 def _assemble_plan(
     ex: "FrameExecution", pricing: _ExecutionPricing
 ) -> FramePlan:
-    """Replicate ``_wavefront_step``'s per-slice arithmetic verbatim over
-    the fused pass results, producing the plan's report fragments."""
-    from repro.arch.buffers import BufferModel
+    """Replicate the per-slice model's arithmetic verbatim over the fused
+    pass results, producing the plan's report fragments."""
+    from repro.arch.buffers import BufferModel, default_buffers
     from repro.arch.encoding_engine import EncodingReport
 
     accelerator = ex.accelerator
     config = accelerator.config
     num_levels = accelerator.grid.num_levels
     hybrid = config.mapping_mode == "hybrid"
-    # A private buffer model: stall cycles are a pure function of the
-    # specs and the wavefront's working set, so pricing here never
-    # perturbs the execution's own occupancy diagnostics.
-    buffers = BufferModel(ex._buffers.specs)
+    # Stall cycles are a pure function of the buffer specs and the
+    # wavefront's working set.
+    buffers = BufferModel(
+        default_buffers("edge" if "edge" in config.name else "server")
+    )
     levels = range(num_levels)
     steps: List[PlannedStep] = []
     for si, sl in enumerate(ex._slices):
@@ -455,11 +434,16 @@ def _assemble_plan(
             enc.conflict_cycles += int(seg_conflicts[si])
             enc.xbar_energy_pj += float(seg_energy[si])
             level_read.append(int(seg_cycles[si]))
+        # Hybrid mapping gives every level a dedicated crossbar bank, so
+        # levels read in parallel; the hash layout interleaves tables
+        # across shared crossbars (Section 3 Challenge 3), so they
+        # serialise.
         if level_read:
             read_cycles = max(level_read) if hybrid else sum(level_read)
         else:
             read_cycles = 0
         addr_gen_cycles = math.ceil(p * 8 * num_levels / config.address_units)
+        # One trilinear interpolation per fusion lane per cycle.
         fusion_cycles = math.ceil(p * num_levels / config.fusion_lanes)
         enc.read_cycles = read_cycles
         enc.cycles = max(addr_gen_cycles, read_cycles, fusion_cycles)
@@ -487,6 +471,9 @@ def _assemble_plan(
             )
         )
     if ex._evals:
+        # The adaptive sampling unit compares candidate renders at the
+        # tail of Phase I (it cannot overlap the batches that produce its
+        # inputs' final samples).
         ren = accelerator.render_engine.process(0, 0, ex._evals)
         steps.append(
             PlannedStep(

@@ -1,21 +1,20 @@
 """The resumable execution engine: frames as cursors over wavefront steps.
 
 :class:`FrameExecution` is the execution unit behind every simulation
-entry point of :class:`~repro.arch.accelerator.ASDRAccelerator`.  Where
-the pre-refactor simulator walked a frame's wavefronts in one opaque
-loop, a ``FrameExecution`` is a *cursor* over that loop: each
-:meth:`~FrameExecution.step` prices exactly one budget-group wavefront
-slice (re-chunked to the design's ``wavefront_rays``; the Phase I
-adaptive-sampling tail is the final step), accumulating into a partial
-:class:`~repro.arch.accelerator.SimReport` and carrying the frame's
-engine state (encoding engine, buffer model, temporal-cache handle)
-between steps.
+entry point of :class:`~repro.arch.accelerator.ASDRAccelerator`.  A
+``FrameExecution`` is a *cursor* over one frame's wavefront steps: one
+step per budget-group wavefront slice (re-chunked to the design's
+``wavefront_rays``; the Phase I adaptive-sampling tail is the final
+step).  The frame is priced once, in fused passes, into a
+:class:`~repro.exec.batch.FramePlan`; :meth:`~FrameExecution.run` replays
+the next steps' plan records into a partial
+:class:`~repro.arch.accelerator.SimReport`.
 
-Because each frame owns its engines and the step order is exactly the
-order the monolithic loop used, an execution can be **suspended after any
-step and resumed later — even with other frames' wavefronts executed in
-between — and still produce bit-identical cycles and energy** to an
-uninterrupted run (pinned by the golden test in
+Because each frame owns its plan and the steps replay in exactly the
+order of the per-slice pricing model, an execution can be **suspended
+after any step and resumed later — even with other frames' wavefronts
+executed in between — and still produce bit-identical cycles and
+energy** to an uninterrupted run (pinned by the golden test in
 ``tests/test_execution.py``).  That property is what makes
 wavefront-granularity preemption in the serving layer
 (:class:`~repro.serving.server.SequenceServer`) free of pricing
@@ -44,8 +43,6 @@ step charging the framebuffer scan-out, identical to
 from __future__ import annotations
 
 import math
-import os
-from contextlib import contextmanager
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
@@ -65,35 +62,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Sentinel distinguishing "commit with tag None" from "do not commit".
 _NO_COMMIT = object()
-
-#: Process-wide batched-path switch (list so :func:`scalar_engine` can
-#: flip it without a ``global`` statement).
-_BATCHED_ENABLED = [True]
-
-
-def batched_enabled() -> bool:
-    """Whether :meth:`FrameExecution.run` may route through the batched
-    plan path (the default).  Off inside a :func:`scalar_engine` block or
-    while the ``REPRO_SCALAR_ENGINE`` environment variable is set
-    non-empty — the hooks benchmarks and CI use for honest
-    scalar-vs-batched comparisons."""
-    return _BATCHED_ENABLED[0] and not os.environ.get("REPRO_SCALAR_ENGINE")
-
-
-@contextmanager
-def scalar_engine():
-    """Force stepwise pricing for the duration of the context.
-
-    The batched plan path is bit-identical to stepping (the property the
-    regression suite pins), so this only matters when *wall-clock* is the
-    measurement — A/B throughput benchmarks, profiling the scalar
-    baseline, or bisecting a suspected divergence."""
-    previous = _BATCHED_ENABLED[0]
-    _BATCHED_ENABLED[0] = False
-    try:
-        yield
-    finally:
-        _BATCHED_ENABLED[0] = previous
 
 
 def _build_frame_setup(
@@ -123,21 +91,9 @@ def _build_frame_setup(
     slice_in_flight = [
         min(sl.num_points, config.wavefront_rays) for sl in slices
     ]
-    wavefront_offsets: dict = {}
-    wavefront_order: List[int] = []
-    offset = 0
-    for sl in slices:
-        if sl.index not in wavefront_offsets:
-            wavefront_offsets[sl.index] = offset
-            wavefront_order.append(sl.index)
-            offset += trace.wavefronts[sl.index].num_points
-    slice_base_ranges = [
-        (
-            wavefront_offsets[sl.index] + sl.points.start,
-            wavefront_offsets[sl.index] + sl.points.stop,
-        )
-        for sl in slices
-    ]
+    # Slices of one wavefront are consecutive, so concatenating each
+    # visited wavefront's voxel bases once yields the frame's point order.
+    wavefront_order = list(dict.fromkeys(sl.index for sl in slices))
     corner_bases = [
         (
             np.concatenate(
@@ -153,7 +109,6 @@ def _build_frame_setup(
         total_points,
         slice_color_points,
         slice_in_flight,
-        slice_base_ranges,
         corner_bases,
     )
 
@@ -190,10 +145,9 @@ class FrameExecution:
         commit_tag=_NO_COMMIT,
         recorder: Optional["Recorder"] = None,
     ) -> None:
-        # Engines and batch types live under repro.arch, which imports this
-        # module back through the accelerator; resolve them lazily so the
+        # The encoding engine lives under repro.arch, which imports this
+        # module back through the accelerator; resolve it lazily so the
         # two layers can load in either order.
-        from repro.arch.buffers import BufferModel, default_buffers
         from repro.arch.encoding_engine import EncodingEngine
         from repro.exec.frame_trace import FrameTrace
 
@@ -213,8 +167,6 @@ class FrameExecution:
         self._points_done = 0
         self._finalised = False
         self._plan: Optional["FramePlan"] = None
-        self._plan_record_idx = 0
-        self._plan_choice: Optional[bool] = None
         # Telemetry is observer-only: a disabled recorder is normalised to
         # None here so every hot-path hook is one identity check, and the
         # emitted fields are values the engine computed anyway — the
@@ -232,10 +184,7 @@ class FrameExecution:
 
         config = accelerator.config
         self._memo_scope = trace if memo_scope is None else memo_scope
-        self._color_fraction = color_fraction
         self._encoding_engine = EncodingEngine(config, accelerator.grid)
-        scale = "edge" if "edge" in config.name else "server"
-        self._buffers = BufferModel(default_buffers(scale))
         self._resolutions = [int(r) for r in accelerator.grid.level_resolutions]
         self._evals = (
             trace.difficulty_evals if difficulty_evals is None else difficulty_evals
@@ -267,13 +216,9 @@ class FrameExecution:
             self._total_points,
             self._slice_color_points,
             self._slice_in_flight,
-            self._slice_base_ranges,
             self._corner_bases,
         ) = setup
         self._steps_total = len(self._slices) + (1 if self._evals else 0)
-        from repro.nerf.hashgrid import CORNER_OFFSETS
-
-        self._corner_offsets = CORNER_OFFSETS[None, :, :]
 
     # ------------------------------------------------------------------
     # Cursor state
@@ -313,30 +258,15 @@ class FrameExecution:
     # Stepping
     # ------------------------------------------------------------------
     def step(self) -> int:
-        """Execute the next wavefront step; returns the cycles it charged.
+        """Execute the next wavefront step (``run(1)``); returns the cycles
+        it charged.
 
         Raises:
             SimulationError: When the execution already completed.
         """
         if self.done:
             raise SimulationError("FrameExecution already ran to completion")
-        if self._scanout:
-            charge = self._scanout_cycles()
-        elif self._cursor < len(self._slices):
-            charge = self._wavefront_step(self._cursor)
-        else:
-            charge = self._adaptive_tail_step()
-        self._cursor += 1
-        self.report.total_cycles += charge
-        if self._recorder is not None:
-            self._recorder.emit(
-                EV_EXEC_STEP,
-                self.report.total_cycles,
-                step=self._cursor - 1,
-                cycles=charge,
-                scanout=self._scanout,
-            )
-        return charge
+        return self.run(1)
 
     def run(self, max_steps: Optional[int] = None) -> int:
         """Execute up to ``max_steps`` steps (all remaining when ``None``);
@@ -344,66 +274,33 @@ class FrameExecution:
         serving event loop calls ``run(quantum)`` and may hand the
         accelerator to another client before calling it again.
 
-        Routed through :meth:`run_vectorized` (bit-identical, much
-        faster) unless a wavefront log is attached, this is a scan-out
-        frame, :func:`scalar_engine` disabled batching, or the frame is
-        large *and* cold (see
-        :func:`~repro.exec.batch.plan_build_worthwhile` — plan assembly
-        would cost more than stepping, and both paths price
-        identically)."""
-        if (
-            self._wavefront_log is None
-            and not self._scanout
-            and batched_enabled()
-            and self._plan_worthwhile()
-        ):
-            return self.run_vectorized(max_steps)
-        return self._run_stepwise(max_steps)
-
-    def _plan_worthwhile(self) -> bool:
-        """Size/reuse heuristic for the batched path, decided once per
-        execution (the answer cannot improve mid-frame, and flip-flopping
-        between engines would waste a partially-consumed plan)."""
-        if self._plan is not None:
-            return True
-        if self._plan_choice is None:
-            from repro.exec.batch import plan_build_worthwhile
-
-            self._plan_choice = plan_build_worthwhile(self)
-        return self._plan_choice
-
-    def _run_stepwise(self, max_steps: Optional[int] = None) -> int:
-        """The reference path: a Python loop over :meth:`step`."""
-        charged = 0
-        steps = self._steps_total - self._cursor
-        if max_steps is not None:
-            if max_steps <= 0:
-                raise SimulationError("max_steps must be positive")
-            steps = min(steps, max_steps)
-        for _ in range(steps):
-            charged += self.step()
-        return charged
-
-    def run_vectorized(self, max_steps: Optional[int] = None) -> int:
-        """Batched form of :meth:`run`: price the next ``max_steps``
-        consecutive slices through the frame's pre-built
-        :class:`~repro.exec.batch.FramePlan` and merge their report
-        fragments — bit-identical to stepping (same arithmetic, same
-        accumulation order), minus the per-step numpy call overhead.
-
-        The plan is built lazily on first use and revalidated against the
-        temporal cache's resident token on every call, so an elastic
-        re-partition that trims the resident set between quanta transparently
-        rebuilds the remaining steps' pricing against the new content."""
+        The steps replay the frame's :class:`~repro.exec.batch.FramePlan`,
+        merging the pre-priced report fragments in step order.  The plan
+        is built on first use and revalidated against the temporal cache's
+        resident token on every call, so an elastic re-partition that
+        trims the resident set between quanta rebuilds the remaining
+        steps' pricing against the new content.  A scan-out frame is one
+        step charging the framebuffer read-out."""
         if max_steps is not None and max_steps <= 0:
             raise SimulationError("max_steps must be positive")
-        if self._scanout or not batched_enabled():
-            return self._run_stepwise(max_steps)
         steps = self._steps_total - self._cursor
         if max_steps is not None:
             steps = min(steps, max_steps)
         if steps <= 0:
             return 0
+        if self._scanout:
+            charge = self._scanout_cycles()
+            self._cursor = 1
+            self.report.total_cycles += charge
+            if self._recorder is not None:
+                self._recorder.emit(
+                    EV_EXEC_STEP,
+                    self.report.total_cycles,
+                    step=0,
+                    cycles=charge,
+                    scanout=True,
+                )
+            return charge
         token = (
             self._temporal.resident_token if self._temporal is not None else None
         )
@@ -428,10 +325,12 @@ class FrameExecution:
             points += planned.num_points
         self._cursor = end
         self._points_done += points
-        # Mixed batched/stepped use must keep striping identical: request
-        # ids equal global point indices, so fast-forward the counter.
-        self._encoding_engine.skip_requests(points)
-        self._apply_plan_records()
+        if self.done and self._temporal is not None:
+            # The frame's working set joins the cache's pending set once
+            # every wavefront has executed; the frame-boundary commit in
+            # `finish()` makes it visible.
+            for level, unique_stream in self._plan.records:
+                self._temporal.record(unique_stream, level, assume_unique=True)
         if self._recorder is not None:
             self._recorder.emit(
                 EV_EXEC_BATCH,
@@ -460,7 +359,7 @@ class FrameExecution:
             return False
         if plan.total_points != self._total_points:
             return False
-        self._set_plan(plan)
+        self._plan = plan
         return True
 
     @property
@@ -469,81 +368,6 @@ class FrameExecution:
         consumers (the serving layer's plan cache) may re-attach it to a
         later execution of the same frame via :meth:`attach_plan`."""
         return self._plan
-
-    def _set_plan(self, plan: "FramePlan") -> None:
-        self._plan = plan
-        self._plan_record_idx = 0
-
-    def _apply_plan_records(self) -> None:
-        """Feed the plan's deferred temporal working-set records into the
-        cache once their wavefronts have fully executed.  Overlap with
-        records the stepped path already issued is harmless: the cache
-        commit re-uniques the union, so chunk granularity never matters."""
-        if self._plan is None or self._temporal is None:
-            return
-        records = self._plan.records
-        while (
-            self._plan_record_idx < len(records)
-            and records[self._plan_record_idx][0] <= self._cursor
-        ):
-            _, level, unique_stream = records[self._plan_record_idx]
-            self._temporal.record(unique_stream, level, assume_unique=True)
-            self._plan_record_idx += 1
-
-    def _wavefront_step(self, si: int) -> int:
-        from repro.arch.trace import EncodingBatch
-
-        sl = self._slices[si]
-        num_points = sl.num_points
-        base_start, base_stop = self._slice_base_ranges[si]
-        corners = {
-            level: self._corner_bases[level][base_start:base_stop].astype(
-                np.int64
-            )[:, None, :]
-            + self._corner_offsets
-            for level in range(self.accelerator.grid.num_levels)
-        }
-        batch = EncodingBatch(
-            corners=corners,
-            point_ray=sl.point_ray(),
-            num_points=num_points,
-            memo=self._memo_scope.memo_hook(
-                (sl.index, sl.points.start, sl.points.stop)
-            ),
-        )
-        enc = self._encoding_engine.process_batch(batch, temporal=self._temporal)
-        color_points = self._slice_color_points[si]
-        mlp = self.accelerator.mlp_engine.process(num_points, color_points)
-        ren = self.accelerator.render_engine.process(
-            composited_points=num_points,
-            interpolated_points=num_points - color_points,
-        )
-        stall = self._buffers.observe_wavefront(
-            in_flight_points=self._slice_in_flight[si],
-            levels=self.accelerator.grid.num_levels,
-            ray_working_points=num_points,
-        )
-        self.report.encoding.merge(enc)
-        self.report.mlp.merge(mlp)
-        self.report.render.merge(ren)
-        self.report.buffer_stall_cycles += stall
-        charge = max(enc.cycles, mlp.cycles, ren.cycles) + stall
-        if self._wavefront_log is not None:
-            self._wavefront_log.append(
-                (("wavefront", sl.index, sl.rays.start, sl.rays.stop), charge)
-            )
-        self._points_done += num_points
-        return charge
-
-    def _adaptive_tail_step(self) -> int:
-        # The adaptive sampling unit compares candidate renders at the
-        # tail of Phase I (it cannot overlap the batches that produce its
-        # inputs' final samples).
-        ren = self.accelerator.render_engine.process(0, 0, self._evals)
-        self.report.render.merge(ren)
-        if self._wavefront_log is not None:
-            self._wavefront_log.append((("adaptive_tail",), ren.cycles))
-        return ren.cycles
 
     def _scanout_cycles(self) -> int:
         from repro.arch.bus import BusTraffic, bus_cycles
@@ -566,10 +390,6 @@ class FrameExecution:
         if self._finalised:
             raise SimulationError("FrameExecution already finalised")
         self.run()
-        # Catch-up for mixed batched/stepped histories: any plan records
-        # not yet applied (their wavefronts finished via step()) must land
-        # in the pending set before the commit below.
-        self._apply_plan_records()
         self._finalised = True
         if self._scanout:
             self.report.bus_cycles = self.report.total_cycles

@@ -353,9 +353,9 @@ class FrameTrace:
         in :attr:`reprojected_pixels`, keeping :attr:`rendered_pixels` —
         and therefore scan-out bus cost — identical to the full trace;
         only the per-ray compute disappears.  The copy shares no caches
-        with the original and prices through the ordinary engines (stepped
-        and batched alike) with no special-casing, which is what keeps
-        reprojected frames inside the bit-identity envelope.
+        with the original and prices through the ordinary pricing (and
+        the per-slice reference) with no special-casing, which is what
+        keeps reprojected frames inside the bit-identity envelope.
         """
         skip_mask = np.asarray(skip_mask, dtype=bool)
         if skip_mask.shape != (self.num_pixels,):
@@ -589,17 +589,9 @@ class FrameTrace:
         return value
 
     def memo_hook(self, prefix: Tuple):
-        """A ``(key, compute)`` hook scoped to ``prefix`` (one wavefront
-        slice), handed to consumers via ``EncodingBatch.memo``."""
+        """A ``(key, compute)`` hook scoped to ``prefix``, handed to the
+        frame pricer (:mod:`repro.exec.batch`)."""
         return lambda key, compute: self.memo(prefix + key, compute)
-
-    def memo_contains(self, key: Tuple) -> bool:
-        """Whether ``key`` has been requested before (a warmth probe — the
-        batched engine's cold-plan heuristic asks before committing to an
-        expensive stream derivation).  Counts the see-once set too: a
-        stream requested even once predicts the trace is being replayed,
-        which is exactly when plan assembly amortises."""
-        return key in self._memo_cache or key in self._memo_seen
 
     # ------------------------------------------------------------------
     # Profiler access

@@ -248,13 +248,8 @@ class SequenceTrace:
 
     def memo_hook(self, prefix: Tuple) -> Callable:
         """A ``(key, compute)`` hook scoped under ``prefix`` (typically a
-        frame index), handed to the simulator's encoding batches."""
+        frame index), handed to the frame pricer."""
         return lambda key, compute: self.memo(prefix + key, compute)
-
-    def memo_contains(self, key: Tuple) -> bool:
-        """Whether ``key`` is already memoised (the batched engine's
-        cold-plan heuristic probes stream warmth before building)."""
-        return key in self._memo
 
     # ------------------------------------------------------------------
     # Temporal diff pass

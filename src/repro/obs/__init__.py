@@ -5,7 +5,7 @@ the cluster routing layer without ever touching what they compute: every
 hook is observer-only (events carry values the instrumented code
 computed anyway), a disabled recorder costs one pointer comparison per
 site, and reports are **bit-identical** with telemetry on or off — the
-invariant is test-pinned next to stepped-vs-monolithic in
+invariant is test-pinned next to production-vs-reference pricing in
 ``tests/test_obs.py``.
 
 Layers:

@@ -10,8 +10,8 @@ one ``results/`` folder out:
   ``results/trace_events.json`` (Perfetto-loadable) — the serving
   timeline of every policy run, plus ``results/metrics.json`` (the
   folded metrics registry);
-* ``BENCH_engine.json`` (``engine_bench/v1``) — scalar vs batched
-  engine, bit-identity gated;
+* ``BENCH_engine.json`` (``engine_bench/v1``) — per-slice reference vs
+  production pricing, bit-identity gated;
 * ``BENCH_cluster.json`` (``cluster_bench/v1``) — router comparison,
   single-shard identity gated;
 * ``BENCH_slo.json`` (``slo_bench/v1``) — overload control (admission,
@@ -172,7 +172,7 @@ def run_all(
     )
 
     # ------------------------------------------------------------------
-    # 2. Engine throughput (scalar vs batched, identity gated).
+    # 2. Engine throughput (reference vs production, identity gated).
     # ------------------------------------------------------------------
     say("[2/5] engine bench")
     engine = _load_benchmark("test_engine_throughput")

@@ -60,8 +60,8 @@ EV_SCALE_OUT = "scale_out"  #: spare accelerator joined the fleet
 EV_MIGRATION = "migration"  #: tenant tail handed to another shard
 
 # --- execution-engine events (frame-local cycles) ---------------------
-EV_EXEC_STEP = "exec_step"  #: one stepped wavefront slice priced
-EV_EXEC_BATCH = "exec_batch"  #: a run_vectorized() span priced
+EV_EXEC_STEP = "exec_step"  #: a scan-out frame's single step priced
+EV_EXEC_BATCH = "exec_batch"  #: a run() span of plan steps priced
 EV_PLAN_BUILD = "plan_build"  #: a FramePlan assembled for this execution
 EV_FRAME_FINISH = "frame_finish"  #: finish(): engine totals + bus + energy
 

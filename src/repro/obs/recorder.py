@@ -8,8 +8,8 @@ instrumented layers.  The contract every emit site honours:
    cache counter) but may never compute, round, cache or mutate anything
    the un-instrumented path would not.  Telemetry-on and telemetry-off
    runs therefore produce bit-identical ``ServeReport``/``ClusterReport``
-   dicts — pinned by ``tests/test_obs.py`` the same way stepped-vs-
-   monolithic execution is pinned.
+   dicts — pinned by ``tests/test_obs.py`` the same way production
+   pricing is pinned to the per-slice reference.
 2. **Zero extra work when disabled.**  The default recorder is
    :data:`NULL_RECORDER`, whose ``enabled`` flag is ``False``; hot loops
    hoist the check (``rec = recorder if recorder.enabled else None``) so

@@ -32,13 +32,13 @@ Every earliest-slack-first variant breaks slack ties deterministically by
 client id (stable lexicographic order), so two frames with identical
 slack always schedule in the same order regardless of submission history.
 
-Policies are engine-agnostic: a quantum of ``N`` wavefront steps costs
-the same cycles whether the execution cursor steps slice-by-slice or
-replays a precomputed :class:`~repro.exec.batch.FramePlan` (the batched
-engine is bit-identical by contract — see
-``docs/architecture.md#the-batched-wavefront-engine``), so scheduling
-decisions, preemption points and fairness metrics are unchanged by the
-10x engine speedup.
+Policies are pricing-agnostic: a quantum of ``N`` wavefront steps costs
+the same cycles whether the steps are priced slice by slice or replayed
+from a precomputed :class:`~repro.exec.batch.FramePlan` (bit-identical
+by contract — see
+``docs/architecture.md#frame-pricing-one-engine``), so scheduling
+decisions, preemption points and fairness metrics do not depend on how
+pricing is computed.
 """
 
 from __future__ import annotations

@@ -13,9 +13,8 @@ engine's before/after claims are stated in:
   mapping every profiled function to the accelerator stage it prices, by
   module.  "Bookkeeping" is everything that is not engine pricing:
   scheduling decisions, report assembly, cache partition management and
-  the event loop itself.  A healthy batched run is bookkeeping-light and
-  encoding-heavy; the scalar engine inverts that by drowning pricing in
-  per-step Python overhead.
+  the event loop itself.  A healthy run is bookkeeping-light and
+  encoding-heavy.
 
 The profiler deliberately has no opinion about *what* to run: callers
 pass a zero-argument callable (the CLI passes the fully-configured

@@ -461,7 +461,7 @@ def bench_table_rows(payloads: Dict[str, Dict]) -> List[Dict[str, str]]:
         rows.append(
             {
                 "bench": "engine",
-                "case": "serve scalar→batched",
+                "case": "serve reference→production",
                 "metric": "speedup",
                 "value": f"{engine['serve']['speedup']}x",
                 "cycles": "identical" if engine["serve"]["identical_rows"]

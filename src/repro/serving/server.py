@@ -66,7 +66,7 @@ from repro.arch.accelerator import ASDRAccelerator
 from repro.cim.cache import TemporalVertexCache
 from repro.errors import ConfigurationError
 from repro.exec.batch import FramePlan, build_frame_plans
-from repro.exec.execution import FrameExecution, batched_enabled, sequence_executions
+from repro.exec.execution import FrameExecution, sequence_executions
 from repro.exec.scheduler import (
     WORK_PROBE,
     WORK_REPLAY,
@@ -660,7 +660,7 @@ class SequenceServer:
         here are never started, keeping `item.started` (and therefore the
         policy's view) untouched.
         """
-        if not batched_enabled() or item.execution._scanout:
+        if item.execution._scanout:
             return
         to_build: List[Tuple[Tuple, FrameExecution]] = []
         key = (
@@ -1377,13 +1377,18 @@ class SequenceServer:
                     if rec is None
                     else ScopedRecorder(rec, client=client.id, frame=k)
                 )
+                # A thinned frame commits a different working set than the
+                # full frame k, so its commit tag names the thinned content:
+                # hit masks and plans keyed by the resident token must not
+                # mistake one resident set for the other.
                 if reproject_mask is not None:
                     item.reprojected = True
+                    thinned = self._reprojected_trace(client, k, reproject_mask)
                     item.execution = self.accelerator.trace_execution(
-                        self._reprojected_trace(client, k, reproject_mask),
+                        thinned,
                         group_size=self.group_size,
                         temporal=partitions.cache_for(client.id),
-                        commit_tag=k,
+                        commit_tag=(k, thinned.content_digest()),
                         recorder=scoped,
                     )
                     reports[client.id].degraded.append(
@@ -1405,11 +1410,12 @@ class SequenceServer:
                         )
                 elif degrade_fraction is not None:
                     item.budget_fraction = degrade_fraction
+                    thinned = self._degraded_trace(client, k, degrade_fraction)
                     item.execution = self.accelerator.trace_execution(
-                        self._degraded_trace(client, k, degrade_fraction),
+                        thinned,
                         group_size=self.group_size,
                         temporal=partitions.cache_for(client.id),
-                        commit_tag=k,
+                        commit_tag=(k, thinned.content_digest()),
                         recorder=scoped,
                     )
                     reports[client.id].degraded.append(

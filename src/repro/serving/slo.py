@@ -190,8 +190,8 @@ class QuantumAutoTuner:
     they are cheap it grows, keeping decision overhead rare.
 
     Purely deterministic: fed only the ``(cycles, steps)`` pairs the
-    serving loop charges anyway, identical across scalar and batched
-    engines (which charge bit-identical cycles per step by contract).
+    serving loop charges anyway, which are bit-identical per step
+    whether priced by production or by the per-slice reference.
 
     Example:
         >>> tuner = QuantumAutoTuner(initial_steps=4)

@@ -1,11 +1,12 @@
-"""Property-based bit-identity of the batched wavefront engine.
+"""Property-based bit-identity of frame pricing against the reference.
 
-The batched plan path (:mod:`repro.exec.batch`) may only ever be a
-*faster spelling* of the stepped engine: for any trace, any quantum
-schedule and any batch boundaries, vectorized == stepwise == monolithic
-bit-identically — cycles, energy, per-engine report fields and
-temporal-cache state — including a client abandoning mid-batch.  These
-tests drive all three spellings over hypothesis-generated workloads;
+The fused plan (:mod:`repro.exec.batch`) may only ever be a *faster
+spelling* of the per-slice model in :mod:`tests.reference_pricer`: for
+any trace, any quantum schedule and any batch boundaries, production ==
+reference == monolithic bit-identically — cycles, energy, per-engine
+report fields and temporal-cache state — including a client abandoning
+mid-frame, and however the crossbar pass is cut into row-capped calls.
+These tests drive both spellings over hypothesis-generated workloads;
 ``tests/test_execution.py`` pins the same contract on the golden trace.
 
 Self-skips when ``hypothesis`` is absent (CI installs it; a bare
@@ -18,6 +19,9 @@ import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 
+import tracemalloc  # noqa: E402
+from unittest import mock  # noqa: E402
+
 import numpy as np  # noqa: E402
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
@@ -25,14 +29,15 @@ from hypothesis import strategies as st  # noqa: E402
 from repro.arch.accelerator import ASDRAccelerator  # noqa: E402
 from repro.arch.config import ArchConfig  # noqa: E402
 from repro.cim.cache import TemporalVertexCache  # noqa: E402
-from repro.exec.execution import (  # noqa: E402
-    scalar_engine,
-    sequence_executions,
-)
+from repro.cim.memxbar import MemXbarBank  # noqa: E402
+from repro.exec import batch  # noqa: E402
+from repro.exec.execution import sequence_executions  # noqa: E402
 from repro.exec.frame_trace import FrameTrace  # noqa: E402
 from repro.exec.sequence import SequenceTrace  # noqa: E402
+from repro.experiments.workbench import experiment_accelerator  # noqa: E402
 from repro.scenes.cameras import camera_path  # noqa: E402
 from tests.conftest import TEST_GRID, TEST_MODEL_CONFIG  # noqa: E402
+from tests.reference_pricer import reference_engine, reference_run  # noqa: E402
 
 _ACCELERATOR = None
 
@@ -88,7 +93,7 @@ def _report_tuple(report):
 
 def _drive(ex, schedule):
     """Advance ``ex`` to completion with ``schedule`` as the repeating
-    quantum pattern (0 entries fall back to single steps)."""
+    quantum pattern (0 entries take single ``step()`` calls)."""
     i = 0
     while not ex.done:
         quantum = schedule[i % len(schedule)] if schedule else 1
@@ -113,12 +118,12 @@ class TestFrameBitIdentity:
     ):
         acc = accelerator()
         trace = _trace(size, mod, mult)
-        with scalar_engine():
+        with reference_engine():
             mono = acc.simulate_trace(trace)
-            ex = acc.trace_execution(trace)
-            while not ex.done:
-                ex.step()
-            stepped = ex.finish()
+        ex = acc.trace_execution(trace)
+        while not ex.done:
+            reference_run(ex, 1)
+        stepped = ex.finish()
         batched = _drive(acc.trace_execution(trace), schedule)
         assert _report_tuple(mono) == _report_tuple(stepped)
         assert _report_tuple(stepped) == _report_tuple(batched)
@@ -134,8 +139,8 @@ class TestFrameBitIdentity:
     def test_abandon_mid_batch_matches_stepwise_prefix(
         self, size, mod, mult, quantum, prefix
     ):
-        """Abandoning after a batched prefix charges exactly what the
-        stepped engine charges for the same prefix of steps."""
+        """Abandoning after a production prefix charges exactly what the
+        reference charges for the same prefix of steps."""
         acc = accelerator()
         trace = _trace(size, mod, mult)
         ex_batched = acc.trace_execution(trace)
@@ -143,11 +148,10 @@ class TestFrameBitIdentity:
             ex_batched.run(
                 max_steps=min(quantum, prefix - ex_batched.steps_done)
             )
-        with scalar_engine():
-            ex_stepped = acc.trace_execution(trace)
-            while ex_stepped.steps_done < ex_batched.steps_done:
-                ex_stepped.step()
-            a = ex_stepped.abandon()
+        ex_stepped = acc.trace_execution(trace)
+        if ex_batched.steps_done:
+            reference_run(ex_stepped, ex_batched.steps_done)
+        a = ex_stepped.abandon()
         b = ex_batched.abandon()
         assert _report_tuple(a) == _report_tuple(b)
 
@@ -161,11 +165,11 @@ class TestFrameBitIdentity:
     def test_mixed_step_and_batch_on_one_cursor(
         self, size, mod, mult, schedule
     ):
-        """One execution may freely mix step() and run(max_steps) —
-        the cursor keeps bit-identity across the mode switches."""
+        """One execution may freely mix step() and run(max_steps) — the
+        cursor keeps bit-identity however the steps are grouped."""
         acc = accelerator()
         trace = _trace(size, mod, mult)
-        with scalar_engine():
+        with reference_engine():
             mono = acc.simulate_trace(trace)
         mixed = _drive(acc.trace_execution(trace), schedule)
         assert _report_tuple(mono) == _report_tuple(mixed)
@@ -185,18 +189,17 @@ class TestSequenceBitIdentity:
         self, num_frames, size, mod, mult, schedule, capacity
     ):
         """Across a sequence — temporal lookups, records and frame-boundary
-        commits included — batched execution leaves the temporal cache in
-        the same state as stepwise, frame by frame."""
+        commits included — production leaves the temporal cache in the
+        same state as the reference, frame by frame."""
         acc = accelerator()
         seq = _sequence(num_frames, size, mod, mult)
 
-        with scalar_engine():
+        with reference_engine():
             cache_s = TemporalVertexCache(capacity)
-            stepped = []
-            for ex in sequence_executions(acc, seq, temporal=cache_s):
-                while not ex.done:
-                    ex.step()
-                stepped.append(_report_tuple(ex.finish()))
+            stepped = [
+                _report_tuple(ex.finish())
+                for ex in sequence_executions(acc, seq, temporal=cache_s)
+            ]
 
         cache_b = TemporalVertexCache(capacity)
         batched = [
@@ -212,8 +215,8 @@ class TestSequenceBitIdentity:
 
 
 class TestServeBitIdentity:
-    """End-to-end: the serving loop produces identical ServeReports with
-    the batched engine on and off — preemption, twin clients and the
+    """End-to-end: the serving loop produces identical ServeReports priced
+    by production and by the reference — preemption, twin clients and the
     cross-tenant plan prefetch included."""
 
     def test_serve_rows_identical_scalar_vs_batched(self):
@@ -245,7 +248,95 @@ class TestServeBitIdentity:
                 for name in ("fifo", "round_robin_preemptive")
             }
 
-        with scalar_engine():
+        with reference_engine():
             rows_scalar = run_rows()
         rows_batched = run_rows()
         assert rows_scalar == rows_batched
+
+
+class TestRowCappedBankPass:
+    """The crossbar pass is cut into calls of at most
+    ``batch._BANK_PASS_MAX_ROWS`` issue-group rows, at slice boundaries
+    only; the cut must never change a price."""
+
+    @given(
+        frames=st.lists(
+            st.tuples(
+                st.integers(8, 11), st.integers(2, 6), st.integers(1, 3)
+            ),
+            min_size=2,
+            max_size=4,
+        ),
+        warm=st.lists(st.booleans(), min_size=4, max_size=4),
+        max_rows=st.integers(1, 400),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_capped_plans_equal_reference(self, frames, warm, max_rows):
+        """Several tenants' frames priced in one ``build_frame_plans``
+        call with a cap of a few rows — some against a warm temporal
+        cache — replay to the reference's per-step charges and reports."""
+        acc = accelerator()
+        traces = [_trace(*spec, frame=k) for k, spec in enumerate(frames)]
+
+        def cache_for(i):
+            if not warm[i]:
+                return None
+            cache = TemporalVertexCache()
+            acc.trace_execution(traces[i - 1], temporal=cache).finish()
+            cache.commit_frame(tag=("warm", i))
+            return cache
+
+        def logged_executions():
+            logs = [[] for _ in traces]
+            executions = [
+                acc.trace_execution(t, temporal=cache_for(i), wavefront_log=log)
+                for i, (t, log) in enumerate(zip(traces, logs))
+            ]
+            return executions, logs
+
+        executions, logs = logged_executions()
+        with mock.patch.object(batch, "_BANK_PASS_MAX_ROWS", max_rows):
+            plans = batch.build_frame_plans(executions)
+        production = [_report_tuple(ex.finish()) for ex in executions]
+
+        with reference_engine():
+            ref_executions, ref_logs = logged_executions()
+            reference = [_report_tuple(ex.finish()) for ex in ref_executions]
+
+        assert production == reference
+        assert logs == ref_logs
+        for plan, ref_log in zip(plans, ref_logs):
+            assert [(s.log_key, s.charge) for s in plan.steps] == ref_log
+
+    def test_small_batches_stay_one_call(self):
+        """A batch under the cap is one conflict replay, as before."""
+        acc = accelerator()
+        executions = [
+            acc.trace_execution(_trace(10, 5, 2, frame=k)) for k in (0, 1)
+        ]
+        with mock.patch.object(
+            MemXbarBank,
+            "read_cycles_segments",
+            autospec=True,
+            side_effect=MemXbarBank.read_cycles_segments,
+        ) as replay:
+            batch.build_frame_plans(executions)
+        assert replay.call_count == 1
+
+    def test_cold_frame_pricing_memory_per_point(self):
+        """Pricing a cold 64x64 frame (47,104 points) peaks at most
+        1.5 KB of traced allocations per point: the row cap bounds the
+        conflict replay's temporaries instead of letting them grow with
+        the frame (an uncapped pass needs about 3.4 KB per point)."""
+        acc = experiment_accelerator("server")
+        camera = camera_path("orbit", 1, 64, 64, arc=0.4).cameras()[0]
+        budgets = (1 + (np.arange(64 * 64) % 8) * 3).astype(np.int64)
+        trace = FrameTrace.from_budgets(camera, budgets)
+        assert trace.density_points == 47_104
+        tracemalloc.start()
+        try:
+            acc.trace_execution(trace).finish()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / trace.density_points <= 1536

@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
+from repro.arch.accelerator import ASDRAccelerator
 from repro.arch.config import ArchConfig
-from repro.arch.encoding_engine import EncodingEngine
 from repro.arch.mlp_engine import MLPEngine
 from repro.arch.render_engine import RenderEngine
-from repro.arch.trace import EncodingBatch
-from repro.nerf.hashgrid import HashGridConfig, HashGridEncoder
+from repro.exec.frame_trace import FrameTrace
+from repro.nerf.hashgrid import HashGridConfig
 from repro.nerf.mlp import MLPConfig
+from repro.scenes.cameras import camera_path
 
 GRID = HashGridConfig(
     num_levels=4, table_size=2**11, base_resolution=4, max_resolution=32
@@ -18,58 +19,42 @@ DENSITY = MLPConfig(input_dim=8, hidden_dim=32, num_hidden=1, output_dim=16)
 COLOR = MLPConfig(input_dim=31, hidden_dim=64, num_hidden=3, output_dim=3)
 
 
-def _batch(rng, num_points=64):
-    encoder = HashGridEncoder(GRID)
-    pts = rng.random((num_points, 3))
-    corners = {
-        level: encoder.voxel_vertices(pts, level)[0]
-        for level in range(GRID.num_levels)
-    }
-    return EncodingBatch(
-        corners=corners,
-        point_ray=np.zeros(num_points, dtype=np.int64),
-        num_points=num_points,
+@pytest.fixture(scope="module")
+def trace():
+    """A small frame: 8x8 rays marching 8 samples each."""
+    camera = camera_path("orbit", 1, 8, 8, arc=0.3).cameras()[0]
+    return FrameTrace.from_budgets(camera, np.full(64, 8, dtype=np.int64))
+
+
+def _encoding(trace, **config):
+    """The encoding engine's report for ``trace`` on a server design."""
+    accelerator = ASDRAccelerator(
+        ArchConfig.server(**config), GRID, DENSITY, COLOR
     )
+    return accelerator.simulate_trace(trace).encoding
 
 
 class TestEncodingEngine:
-    def test_report_counts(self, rng):
-        engine = EncodingEngine(ArchConfig.server(), GRID)
-        report = engine.process_batch(_batch(rng))
-        assert report.lookups == 64 * 8 * GRID.num_levels
+    def test_report_counts(self, trace):
+        report = _encoding(trace)
+        assert trace.density_points > 0
+        assert report.lookups == trace.density_points * 8 * GRID.num_levels
         assert report.cycles > 0
         assert 0 <= report.cache_hits <= report.lookups
 
-    def test_cache_reduces_xbar_accesses(self, rng):
-        batch = _batch(rng)
-        cached = EncodingEngine(ArchConfig.server(cache_entries=16), GRID)
-        uncached = EncodingEngine(ArchConfig.server(cache_entries=0), GRID)
-        r_cached = cached.process_batch(batch)
-        r_uncached = uncached.process_batch(batch)
-        assert r_cached.xbar_accesses < r_uncached.xbar_accesses
-        assert r_uncached.cache_hits == 0
+    def test_cache_reduces_xbar_accesses(self, trace):
+        cached = _encoding(trace, cache_entries=16)
+        uncached = _encoding(trace, cache_entries=0)
+        assert cached.xbar_accesses < uncached.xbar_accesses
+        assert uncached.cache_hits == 0
 
-    def test_hash_mode_serialises_levels(self, rng):
-        batch = _batch(rng)
-        hybrid = EncodingEngine(
-            ArchConfig.server(cache_entries=0), GRID
-        ).process_batch(batch)
-        hashed = EncodingEngine(
-            ArchConfig.server(cache_entries=0, mapping_mode="hash"), GRID
-        ).process_batch(batch)
+    def test_hash_mode_serialises_levels(self, trace):
+        hybrid = _encoding(trace, cache_entries=0)
+        hashed = _encoding(trace, cache_entries=0, mapping_mode="hash")
         assert hashed.cycles > hybrid.cycles
 
-    def test_stateful_cache_across_batches(self, rng):
-        """A second identical batch should hit the cache harder."""
-        engine = EncodingEngine(ArchConfig.server(), GRID)
-        batch = _batch(rng)
-        first = engine.process_batch(batch)
-        second = engine.process_batch(batch)
-        assert second.cache_hits >= first.cache_hits
-
-    def test_energy_positive_with_misses(self, rng):
-        engine = EncodingEngine(ArchConfig.server(cache_entries=0), GRID)
-        report = engine.process_batch(_batch(rng))
+    def test_energy_positive_with_misses(self, trace):
+        report = _encoding(trace, cache_entries=0)
         assert report.xbar_energy_pj > 0
 
 

@@ -2,8 +2,8 @@
 
 The headline invariant is **zero perturbation**: serving with a live
 recorder produces bit-identical reports to serving with the default
-no-op recorder — across scalar and batched engines, frame-atomic and
-preemptive policies, single servers and clusters.  It is pinned here
+no-op recorder — priced by production and by the per-slice reference,
+frame-atomic and preemptive policies, single servers and clusters.  It is pinned here
 the same way stepped-vs-monolithic execution is pinned in
 ``tests/test_execution.py``: full ``to_dict()`` equality.
 
@@ -25,7 +25,6 @@ import pytest
 from repro.arch.accelerator import ASDRAccelerator
 from repro.arch.config import ArchConfig
 from repro.errors import ConfigurationError
-from repro.exec.execution import scalar_engine
 from repro.obs import (
     EVENT_KINDS,
     Event,
@@ -67,6 +66,7 @@ from repro.serving.server import SequenceServer
 from repro.serving.slo import AUTO_QUANTUM, AdmissionError, SLOConfig
 from repro.scenes.cameras import camera_path
 from tests.conftest import TEST_GRID, TEST_MODEL_CONFIG
+from tests.reference_pricer import reference_engine
 from tests.test_serving import (
     _distinct_paths,
     _request,
@@ -249,8 +249,9 @@ class TestNeutrality:
         assert null.serve("round_robin").to_dict() == off.to_dict()
 
     def test_scalar_engine_bit_identical(self, accelerator):
+        """Recorder on/off identity holds with the reference pricer too."""
         requests = _mixed_requests()
-        with scalar_engine():
+        with reference_engine():
             off = _server(accelerator, requests).serve(
                 "round_robin_preemptive"
             )
@@ -326,7 +327,7 @@ class TestNeutrality:
             for d in c.degraded
         )
         assert on.to_dict() == run(None).to_dict()
-        with scalar_engine():
+        with reference_engine():
             assert run(None).to_dict() == on.to_dict()
 
 
@@ -432,7 +433,7 @@ class TestExport:
         pinned — values are free to change with pricing, shapes are not."""
         golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
         batched = _serve_events(accelerator)
-        with scalar_engine():
+        with reference_engine():
             scalar = _serve_events(accelerator)
         cluster = _cluster_events(accelerator)
         aborts = _abort_events(accelerator)

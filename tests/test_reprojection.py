@@ -21,10 +21,10 @@ from repro.core.reprojection import (
     warp_sources,
 )
 from repro.errors import ConfigurationError, SimulationError
-from repro.exec.execution import scalar_engine
 from repro.exec.frame_trace import FrameTrace
 from repro.scenes.cameras import camera_path
 from tests.conftest import TEST_GRID, TEST_MODEL_CONFIG
+from tests.reference_pricer import reference_engine, reference_run
 
 
 @pytest.fixture(scope="module")
@@ -308,12 +308,12 @@ class TestReprojectedTracePricing:
                 tuple(sorted(report.energy_by_component.items())),
             )
 
-        with scalar_engine():
+        with reference_engine():
             mono = server_acc.simulate_trace(warped)
-            ex = server_acc.trace_execution(warped)
-            while not ex.done:
-                ex.step()
-            stepped = ex.finish()
+        ex = server_acc.trace_execution(warped)
+        while not ex.done:
+            reference_run(ex, 1)
+        stepped = ex.finish()
         batched_ex = server_acc.trace_execution(warped)
         while not batched_ex.done:
             batched_ex.run(max_steps=3)

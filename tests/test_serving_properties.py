@@ -9,9 +9,9 @@ hand-written scenario in :mod:`tests.test_serving` relies on:
 * **conservation** — interleaved busy cycles equal the sum of per-client
   service cycles, and every submitted frame is accounted for as
   delivered, aborted (departure) or shed (overload);
-* **scalar vs batched bit-identity** — the batched wavefront engine is
-  an optimisation, never a semantic: reports match the scalar engine
-  byte for byte;
+* **reference bit-identity** — the fused frame pricing is an
+  optimisation, never a semantic: reports match the per-slice reference
+  pricer (:mod:`tests.reference_pricer`) byte for byte;
 * **recorder bit-identity** — telemetry is observer-only: serving with a
   recorder attached yields the identical report;
 * **deterministic replay** — the same submissions served twice yield the
@@ -33,7 +33,6 @@ from hypothesis import given, strategies as st
 
 from repro.arch.accelerator import ASDRAccelerator
 from repro.arch.config import ArchConfig
-from repro.exec.execution import scalar_engine
 from repro.obs.recorder import MemoryRecorder
 from repro.scenes.cameras import camera_path
 from repro.serving.cluster import ClusterServer
@@ -46,6 +45,7 @@ from repro.serving.request import ClientRequest
 from repro.serving.server import SequenceServer
 from repro.serving.slo import AUTO_QUANTUM, SLO_CLASSES, SLOConfig
 from tests.conftest import TEST_GRID, TEST_MODEL_CONFIG
+from tests.reference_pricer import reference_engine
 from tests.test_serving import FRAMES, SIZE, synthetic_sequence
 
 
@@ -188,7 +188,9 @@ def test_conservation_and_frame_accounting(spec):
 @given(spec=serving_scenarios())
 def test_batched_engine_is_bit_identical_to_scalar(spec):
     batched = _serve(spec).to_dict()
-    with scalar_engine():
+    # Patched inside the body: a function-scoped fixture would span every
+    # hypothesis example of the test at once.
+    with reference_engine():
         scalar = _serve(spec).to_dict()
     assert batched == scalar
 
