@@ -8,7 +8,7 @@ gap *is* the value of content-aware routing — the affinity fleet serves
 each twin pair's second stream at scan-out cost, the hash fleet
 re-executes it on the other box.
 
-Correctness gates ride along, mirroring the engine benchmark:
+Correctness gates ride along, asserted before any number is written:
 
 * **single-shard identity** — a one-shard cluster's nested ``ServeReport``
   must be bit-identical to serving the same submissions on a bare

@@ -14,7 +14,6 @@ the whole batch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
 
 import numpy as np
 
@@ -180,21 +179,3 @@ class MemXbarBank:
             cycles - ideal,
             accesses * self.device.read_energy_pj,
         )
-
-    def read_cycles_segmented(
-        self, grouped_addresses: np.ndarray, boundaries: np.ndarray
-    ) -> List[ReadStats]:
-        """:meth:`read_cycles_segments` packaged as one
-        :class:`ReadStats` per segment."""
-        cycles, accesses, conflicts, energy = self.read_cycles_segments(
-            grouped_addresses, boundaries
-        )
-        return [
-            ReadStats(
-                cycles=int(cycles[s]),
-                accesses=int(accesses[s]),
-                conflicts=int(conflicts[s]),
-                energy_pj=float(energy[s]),
-            )
-            for s in range(len(cycles))
-        ]

@@ -340,15 +340,10 @@ def _cmd_serve(args) -> int:
             frames=args.frames,
             size=args.size,
         )
-    profiling = args.profile or args.profile_json is not None
     if args.shards > 1:
-        if profiling:
-            print("--profile is per-shard work; run it without --shards",
-                  file=sys.stderr)
-            return 2
         return _serve_cluster(args, requests, policies, wb, slo=slo_config)
     recorder = _serve_recorder(args)
-    run = lambda: serve_reports(  # noqa: E731
+    reports = serve_reports(
         wb,
         requests,
         scale=args.scale,
@@ -360,17 +355,6 @@ def _cmd_serve(args) -> int:
         slo=slo_config,
         recorder=recorder,
     )
-    profile = None
-    if profiling:
-        from repro.serving.profiler import profile_serve
-
-        # Render every client sequence first so the profile attributes
-        # serving work (scheduling + pricing), not scene rendering.
-        for request in requests:
-            wb.client_sequence(request)
-        reports, profile = profile_serve(run)
-    else:
-        reports = run()
     print(f"== serve: {args.clients} clients on {args.scene}, "
           f"{args.frames}x{args.size}x{args.size} ({args.scale}) ==")
     rows = [row for policy in policies for row in reports[policy].to_rows()]
@@ -399,14 +383,6 @@ def _cmd_serve(args) -> int:
             degraded = sum(len(c.degraded) for c in rep.clients)
             print(f"  SLO attainment: {attain}; "
                   f"shed {shed}, degraded {degraded}")
-    if profile is not None:
-        print()
-        print(profile.format_report())
-        if args.profile_json is not None:
-            with open(args.profile_json, "w") as fh:
-                json.dump(profile.to_dict(), fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            print(f"\nwrote {args.profile_json}")
     _emit_telemetry(
         args, recorder, next(iter(reports.values())).clock_hz
     )
@@ -556,7 +532,6 @@ examples:
   repro serve palace --slo-mix overload --preemptive    # armed overload demo
   repro serve palace --policy deadline --best-effort-slack 5000
   repro serve palace --no-shared-content    # price every client as unique
-  repro serve palace --profile              # hot functions + phase breakdown
   repro serve lego --json BENCH_serving.json    # machine-readable report
   repro serve palace --shards 2             # shard tenants across a fleet
   repro serve palace --shards 2 --router random   # placement-blind baseline
@@ -616,18 +591,10 @@ examples:
                          help="tenant placement policy for --shards > 1 "
                               "(default affinity: co-locate twins so "
                               "content replay and the temporal cache fire)")
-    p_serve.add_argument("--profile", action="store_true",
-                         help="run the serving loop under cProfile and "
-                              "print a hot-function table plus per-phase "
-                              "(encoding/mlp/render/bookkeeping) "
-                              "wall-clock attribution")
     p_serve.add_argument("--json", metavar="PATH", default=None,
                          help="also write a machine-readable summary "
                               "(p50/p95, throughput, context switches) to "
                               "PATH")
-    p_serve.add_argument("--profile-json", metavar="PATH", default=None,
-                         help="write the --profile result as JSON to PATH "
-                              "(implies --profile)")
     p_serve.add_argument("--dashboard", action="store_true",
                          help="render the run's telemetry timeline (per-"
                               "tenant lanes, queue depth, engine "
@@ -664,9 +631,9 @@ examples:
 """,
     )
     p_bench.add_argument("action", choices=("run-all",),
-                         help="'run-all': serving + engine + cluster "
-                              "benches, BENCH_*.json + results/ folder, "
-                              "schema-validated")
+                         help="'run-all': serving + cluster + SLO + "
+                              "video benches, BENCH_*.json + results/ "
+                              "folder, schema-validated")
     p_bench.add_argument("--smoke", action="store_true",
                          help="CI scale: tiny scene, two frames, one "
                               "timing round")

@@ -58,11 +58,6 @@ class ASDRRenderResult:
     def average_samples_per_ray(self) -> float:
         return self.density_points / self.num_rays if self.num_rays else 0.0
 
-    @property
-    def color_eval_fraction(self) -> float:
-        """Fraction of density-evaluated points that also ran the color MLP."""
-        return self.color_points / self.density_points if self.density_points else 0.0
-
     def summary(self) -> Dict[str, float]:
         """Compact dictionary for experiment tables."""
         return {

@@ -172,14 +172,6 @@ class SequenceTrace:
         return self.frames[0].num_pixels
 
     @property
-    def replayed_frames(self) -> int:
-        return sum(1 for j in self.replays if j is not None)
-
-    @property
-    def planned_frames(self) -> int:
-        return sum(1 for p in self.planned if p)
-
-    @property
     def density_points(self) -> int:
         """Total density-MLP points across the sequence (replays included —
         they re-emit a rendered frame, not new MLP work; see

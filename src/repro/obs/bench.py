@@ -10,8 +10,6 @@ one ``results/`` folder out:
   ``results/trace_events.json`` (Perfetto-loadable) — the serving
   timeline of every policy run, plus ``results/metrics.json`` (the
   folded metrics registry);
-* ``BENCH_engine.json`` (``engine_bench/v1``) — per-slice reference vs
-  production pricing, bit-identity gated;
 * ``BENCH_cluster.json`` (``cluster_bench/v1``) — router comparison,
   single-shard identity gated;
 * ``BENCH_slo.json`` (``slo_bench/v1``) — overload control (admission,
@@ -19,7 +17,7 @@ one ``results/`` folder out:
 * ``BENCH_video.json`` (``video_bench/v1``) — temporal reprojection +
   adaptive keyframe scheduling, speedup/guard/probe gated;
 * ``results/summary.json`` + a printed closing table — the headline
-  numbers of all five.
+  numbers of all four.
 
 Every artefact is validated through :mod:`repro.obs.schemas` before the
 harness reports success, so a run that emits a malformed snapshot fails
@@ -27,9 +25,9 @@ loudly.  ``--smoke`` shrinks every dimension to the CI scale (tiny
 scene, two frames, one timing round); defaults match the committed
 full-scale snapshots.
 
-The engine and cluster payload builders live in ``benchmarks/`` (they
-are also pytest modules); they are loaded by file path, so the harness
-works from a source checkout without installing anything.
+The cluster, SLO and video payload builders live in ``benchmarks/``
+(they are also pytest modules); they are loaded by file path, so the
+harness works from a source checkout without installing anything.
 """
 
 from __future__ import annotations
@@ -54,7 +52,6 @@ FULL_PRESET = dict(
     size=16,
     frames=4,
     serving_clients=3,
-    engine_clients=6,
     cluster_clients=6,
     shards=2,
     quantum=2,
@@ -70,7 +67,6 @@ SMOKE_PRESET = dict(
     size=8,
     frames=2,
     serving_clients=2,
-    engine_clients=2,
     cluster_clients=6,
     shards=2,
     quantum=2,
@@ -104,10 +100,10 @@ def run_all(
     smoke: bool = False,
     progress: Optional[Callable[[str], None]] = print,
 ) -> Dict[str, object]:
-    """Run the serving, engine, cluster, SLO and video benchmark suites
-    end to end.
+    """Run the serving, cluster, SLO and video benchmark suites end to
+    end.
 
-    Writes the five ``BENCH_*.json`` snapshots into ``out_dir`` and the
+    Writes the four ``BENCH_*.json`` snapshots into ``out_dir`` and the
     telemetry/summary artefacts into ``out_dir/results/``, validates all
     of them, and returns a manifest ``{"artifacts": {name: path},
     "problems": {path: [...]}, "summary_rows": [...]}`` — empty
@@ -129,7 +125,7 @@ def run_all(
     from repro.serving.policies import ALL_POLICY_NAMES
     from repro.serving.report import bench_summary, bench_table_rows
 
-    say(f"[1/5] serving bench ({'smoke' if smoke else 'full'} scale)")
+    say(f"[1/4] serving bench ({'smoke' if smoke else 'full'} scale)")
     wb = Workbench()
     requests = default_client_mix(
         scene=preset["scene"],
@@ -172,25 +168,9 @@ def run_all(
     )
 
     # ------------------------------------------------------------------
-    # 2. Engine throughput (reference vs production, identity gated).
+    # 2. Cluster serving (router comparison, identity gated).
     # ------------------------------------------------------------------
-    say("[2/5] engine bench")
-    engine = _load_benchmark("test_engine_throughput")
-    payloads["engine"] = engine.engine_bench_payload(
-        scene=preset["scene"],
-        clients=preset["engine_clients"],
-        frames=preset["frames"],
-        size=preset["size"],
-        quantum=preset["quantum"],
-        rounds=preset["rounds"],
-    )
-    artifacts["engine"] = out / "BENCH_engine.json"
-    _write_json(artifacts["engine"], payloads["engine"])
-
-    # ------------------------------------------------------------------
-    # 3. Cluster serving (router comparison, identity gated).
-    # ------------------------------------------------------------------
-    say("[3/5] cluster bench")
+    say("[2/4] cluster bench")
     cluster = _load_benchmark("test_cluster_serving")
     payloads["cluster"] = cluster.cluster_bench_payload(
         scene=preset["scene"],
@@ -204,11 +184,11 @@ def run_all(
     _write_json(artifacts["cluster"], payloads["cluster"])
 
     # ------------------------------------------------------------------
-    # 4. SLO overload control (attainment gated).  The mix is calibrated
+    # 3. SLO overload control (attainment gated).  The mix is calibrated
     #    on the palace scene at 4 frames — the shape the gates were
     #    tuned against — so only the resolution follows the preset.
     # ------------------------------------------------------------------
-    say("[4/5] slo bench")
+    say("[3/4] slo bench")
     slo = _load_benchmark("test_slo_serving")
     payloads["slo"] = slo.timed_payload(
         scene="palace",
@@ -219,11 +199,11 @@ def run_all(
     _write_json(artifacts["slo"], payloads["slo"])
 
     # ------------------------------------------------------------------
-    # 5. Temporal reprojection + adaptive keyframing (speedup/guard/probe
+    # 4. Temporal reprojection + adaptive keyframing (speedup/guard/probe
     #    gated).  Like the SLO mix, the gates were calibrated on the
     #    palace scene, so only the resolution/frames follow the preset.
     # ------------------------------------------------------------------
-    say("[5/5] video bench")
+    say("[4/4] video bench")
     video = _load_benchmark("test_video_reproject")
     payloads["video"] = video.timed_payload(
         scene="palace",
@@ -252,9 +232,7 @@ def run_all(
     )
 
     problems: Dict[str, List[str]] = {}
-    for name in (
-        "serving", "engine", "cluster", "slo", "video", "events", "trace"
-    ):
+    for name in ("serving", "cluster", "slo", "video", "events", "trace"):
         errs = validate_file(artifacts[name])
         if errs:
             problems[str(artifacts[name])] = errs

@@ -10,7 +10,6 @@ non-zero).
 Covered schemas:
 
 * ``serving_bench/v1`` — :func:`repro.serving.report.bench_summary`
-* ``engine_bench/v1``  — ``benchmarks/test_engine_throughput.py``
 * ``cluster_bench/v1`` — ``benchmarks/test_cluster_serving.py``
 * ``slo_bench/v1``     — ``benchmarks/test_slo_serving.py``
 * ``video_bench/v1``   — ``benchmarks/test_video_reproject.py``
@@ -97,22 +96,6 @@ def validate_serving_bench(data: Dict) -> List[str]:
                 problems.append(f"policy {name!r} missing {key!r}")
     if not any(n.endswith("_preemptive") for n in policies):
         problems.append("no *_preemptive policy in the run")
-    return problems
-
-
-def validate_engine_bench(data: Dict) -> List[str]:
-    """``engine_bench/v1``: bit-identity gates true, timing keys present."""
-    problems: List[str] = []
-    if data.get("schema") != "engine_bench/v1":
-        return [f"schema is {data.get('schema')!r}, want 'engine_bench/v1'"]
-    serve = data.get("serve", {})
-    if serve.get("identical_rows") is not True:
-        problems.append("serve.identical_rows is not True")
-    if data.get("frame_micro", {}).get("identical_reports") is not True:
-        problems.append("frame_micro.identical_reports is not True")
-    for key in ("scalar_seconds", "batched_seconds", "speedup"):
-        if key not in serve:
-            problems.append(f"serve missing {key!r}")
     return problems
 
 
@@ -347,7 +330,6 @@ def validate_trace_events(data: Dict) -> List[str]:
 #: ``schema`` tag → validator for the JSON-object artefacts.
 SCHEMA_VALIDATORS = {
     "serving_bench/v1": validate_serving_bench,
-    "engine_bench/v1": validate_engine_bench,
     "cluster_bench/v1": validate_cluster_bench,
     "slo_bench/v1": validate_slo_bench,
     "video_bench/v1": validate_video_bench,

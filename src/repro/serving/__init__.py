@@ -58,7 +58,6 @@ from repro.serving.cluster import (
     ShardUtilisation,
     cluster_bench_summary,
 )
-from repro.serving.profiler import HotFunction, ServeProfile, profile_serve
 from repro.serving.policies import (
     ALL_POLICY_NAMES,
     DEADLINE_POLICY_NAMES,
@@ -116,7 +115,6 @@ __all__ = [
     "ClusterServer",
     "DeadlineAwarePolicy",
     "FIFOPolicy",
-    "HotFunction",
     "Migration",
     "PendingFrame",
     "PreemptiveDeadlinePolicy",
@@ -127,7 +125,6 @@ __all__ = [
     "ScheduledFrame",
     "SchedulingPolicy",
     "SequenceServer",
-    "ServeProfile",
     "ServeReport",
     "ShardUtilisation",
     "WavefrontCostModel",
@@ -135,6 +132,5 @@ __all__ = [
     "cluster_bench_summary",
     "jain_fairness",
     "make_policy",
-    "profile_serve",
     "weighted_slack",
 ]

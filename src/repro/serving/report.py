@@ -148,10 +148,6 @@ class ClientServeReport:
         return max(self.latencies_cycles) if self.latencies_cycles else 0
 
     @property
-    def first_frame_cycles(self) -> int:
-        return min(self.latencies_cycles) if self.latencies_cycles else 0
-
-    @property
     def slowdown(self) -> float:
         """Serving makespan over alone cycles (1.0 = no sharing penalty;
         below 1.0 means cross-client reuse made sharing a net win)."""
@@ -434,9 +430,9 @@ def bench_summary(reports: Dict[str, "ServeReport"]) -> Dict:
 def bench_table_rows(payloads: Dict[str, Dict]) -> List[Dict[str, str]]:
     """Flatten run-all bench payloads into one headline summary table.
 
-    ``payloads`` maps snapshot name (``serving`` / ``engine`` / ``slo``
-    / ``cluster`` / ``video``) to its parsed ``BENCH_*.json`` document; unknown
-    names are skipped, so partial runs still summarise.  One row per headline
+    ``payloads`` maps snapshot name (``serving`` / ``slo`` / ``cluster``
+    / ``video``) to its parsed ``BENCH_*.json`` document; unknown names
+    are skipped, so partial runs still summarise.  One row per headline
     metric — the shape ``repro bench run-all`` writes to
     ``results/summary.json`` and prints as its closing table.
     """
@@ -456,29 +452,6 @@ def bench_table_rows(payloads: Dict[str, Dict]) -> List[Dict[str, str]]:
                     "cycles": str(rep["busy_cycles"]),
                 }
             )
-    engine = payloads.get("engine")
-    if engine:
-        rows.append(
-            {
-                "bench": "engine",
-                "case": "serve reference→production",
-                "metric": "speedup",
-                "value": f"{engine['serve']['speedup']}x",
-                "cycles": "identical" if engine["serve"]["identical_rows"]
-                else "DIVERGED",
-            }
-        )
-        rows.append(
-            {
-                "bench": "engine",
-                "case": "frame micro",
-                "metric": "speedup",
-                "value": f"{engine['frame_micro']['speedup']}x",
-                "cycles": "identical"
-                if engine["frame_micro"]["identical_reports"]
-                else "DIVERGED",
-            }
-        )
     slo = payloads.get("slo")
     if slo:
         for run in ("baseline", "slo"):

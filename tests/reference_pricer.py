@@ -25,9 +25,6 @@ production does.  :func:`reference_engine` patches it over
 ``FrameExecution.run`` for a ``with`` block, so whole ``simulate_*`` and
 ``SequenceServer.serve`` runs price through the reference — a test fake,
 not a production switch.
-
-The file imports only numpy and :mod:`repro`, so script-mode benchmarks
-can load it by path on a bare numpy install.
 """
 
 from __future__ import annotations

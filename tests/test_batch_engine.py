@@ -6,8 +6,9 @@ any trace, any quantum schedule and any batch boundaries, production ==
 reference == monolithic bit-identically — cycles, energy, per-engine
 report fields and temporal-cache state — including a client abandoning
 mid-frame, and however the crossbar pass is cut into row-capped calls.
-These tests drive both spellings over hypothesis-generated workloads;
-``tests/test_execution.py`` pins the same contract on the golden trace.
+These tests drive both spellings over hypothesis-generated workloads and
+a Workbench-rendered serving mix; ``tests/test_execution.py`` pins the
+same contract on the golden trace.
 
 Self-skips when ``hypothesis`` is absent (CI installs it; a bare
 numpy+pytest checkout still collects cleanly).
@@ -252,6 +253,39 @@ class TestServeBitIdentity:
             rows_scalar = run_rows()
         rows_batched = run_rows()
         assert rows_scalar == rows_batched
+
+    def test_rendered_client_mix_identical(self):
+        """Workbench-rendered ASDR sequences carry what a budget-map trace
+        lacks — Phase I probe wavefronts, the adaptive-sampling tail
+        step, colour decoupling and a cross-client pose replay — and
+        serve to the same reports priced by production and by the
+        reference, under every frame-atomic policy and a preemptive one."""
+        from repro.experiments.serving import default_client_mix, serve_reports
+        from repro.experiments.workbench import Workbench
+        from repro.serving.policies import POLICY_NAMES
+
+        wb = Workbench()
+        requests = default_client_mix(clients=2, frames=2, size=8)
+        policies = (*POLICY_NAMES, "round_robin_preemptive")
+        frames = [
+            t for r in requests for t in wb.client_sequence(r).trace.frames
+        ]
+        assert any(t.probe_points for t in frames)
+        assert any(t.difficulty_evals for t in frames)
+        assert any(t.color_points < t.density_points for t in frames)
+
+        def serve():
+            return serve_reports(wb, requests, policies=policies, quantum=2)
+
+        with reference_engine():
+            reference = serve()
+        production = serve()
+        assert any(
+            s.cross_replay for r in production.values() for s in r.schedule
+        )
+        assert {name: r.to_dict() for name, r in production.items()} == {
+            name: r.to_dict() for name, r in reference.items()
+        }
 
 
 class TestRowCappedBankPass:

@@ -50,7 +50,6 @@ from repro.obs.events import (
 )
 from repro.obs.schemas import (
     validate_cluster_bench,
-    validate_engine_bench,
     validate_file,
     validate_obs_events,
     validate_serving_bench,
@@ -60,7 +59,6 @@ from repro.obs.schemas import (
 )
 from repro.serving.cluster import ClusterServer, Migration
 from repro.serving.policies import make_policy
-from repro.serving.profiler import ServeProfile, profile_serve
 from repro.serving.report import bench_table_rows
 from repro.serving.server import SequenceServer
 from repro.serving.slo import AUTO_QUANTUM, AdmissionError, SLOConfig
@@ -522,24 +520,6 @@ class TestSchemas:
         }
         assert validate_serving_bench(atomic_only) != []
 
-    def test_engine_bench_checks(self):
-        ok = {
-            "schema": "engine_bench/v1",
-            "serve": {
-                "identical_rows": True,
-                "scalar_seconds": 1,
-                "batched_seconds": 1,
-                "speedup": 1,
-            },
-            "frame_micro": {"identical_reports": True},
-        }
-        assert validate_engine_bench(ok) == []
-        diverged = json.loads(json.dumps(ok))
-        diverged["serve"]["identical_rows"] = False
-        assert any(
-            "identical_rows" in p for p in validate_engine_bench(diverged)
-        )
-
     def test_cluster_bench_checks(self):
         router = {
             k: 1
@@ -696,37 +676,29 @@ class TestSchemas:
     def test_bench_table_rows_partial_payloads(self):
         rows = bench_table_rows(
             {
-                "engine": {
-                    "serve": {"speedup": 10.5, "identical_rows": True},
-                    "frame_micro": {"speedup": 2.0,
-                                    "identical_reports": True},
+                "slo": {
+                    "slo": {
+                        "slo_attainment": {"interactive": 0.96},
+                        "shed_frames": 3,
+                        "degraded_frames": 1,
+                        "busy_cycles": 1234,
+                    }
                 }
             }
         )
-        assert len(rows) == 2
-        assert rows[0]["value"] == "10.5x"
+        assert len(rows) == 1
+        assert rows[0]["case"] == "slo"
+        assert rows[0]["value"] == "0.96 (shed 3, degraded 1)"
         assert bench_table_rows({}) == []
 
 
 # ----------------------------------------------------------------------
-# Profiler JSON (repro serve --profile-json)
+# CLI surface of the telemetry commands
 # ----------------------------------------------------------------------
-class TestProfileJson:
-    def test_to_dict_round_trips(self):
-        _, profile = profile_serve(lambda: sum(range(2000)))
-        data = json.loads(json.dumps(profile.to_dict()))
-        assert data["schema"] == "serve_profile/v1"
-        rebuilt = ServeProfile.from_dict(data)
-        assert rebuilt.to_dict() == profile.to_dict()
-        assert rebuilt.format_report() == profile.format_report()
-
-    def test_cli_exposes_profile_json_flag(self):
+class TestCliParser:
+    def test_cli_exposes_timeline_and_bench_commands(self):
         from repro.cli import build_parser
 
-        args = build_parser().parse_args(
-            ["serve", "--profile-json", "p.json"]
-        )
-        assert args.profile_json == "p.json"
         args = build_parser().parse_args(["timeline", "ev.jsonl"])
         assert args.events == "ev.jsonl"
         args = build_parser().parse_args(["bench", "run-all", "--smoke"])

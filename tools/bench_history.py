@@ -3,9 +3,9 @@
 
 Walks ``git log`` for every commit that touched a benchmark snapshot,
 loads each revision's payload via ``git show``, and prints the headline
-numbers per commit — engine speedup, serving busy cycles and p95
-latency, cluster fleet cycles and the affinity/random ratio, SLO
-attainment, video reprojection speedup and probe counts — so a
+numbers per commit — serving busy cycles and p95 latency, cluster
+fleet cycles and the affinity/random ratio, SLO attainment, video
+reprojection speedup and probe counts — so a
 performance regression shows up as a trend break in one table instead
 of a diff archaeology session.
 
@@ -13,7 +13,7 @@ Usage::
 
     python tools/bench_history.py                # table, newest last
     python tools/bench_history.py --json         # machine-readable
-    python tools/bench_history.py --file BENCH_engine.json
+    python tools/bench_history.py --file BENCH_slo.json
 
 Requires a git checkout (exits 1, not an exception, outside one).
 """
@@ -29,7 +29,6 @@ from pathlib import Path
 #: Snapshots tracked, with the headline metrics pulled from each.
 BENCH_FILES = (
     "BENCH_serving.json",
-    "BENCH_engine.json",
     "BENCH_cluster.json",
     "BENCH_slo.json",
     "BENCH_video.json",
@@ -66,12 +65,6 @@ def _headline(bench_file: str, payload) -> dict:
     """The metrics one snapshot revision contributes to its table row."""
     if payload is None:
         return {"note": "unreadable"}
-    if bench_file == "BENCH_engine.json":
-        serve = payload.get("serve", {})
-        return {
-            "serve_speedup": serve.get("speedup"),
-            "micro_speedup": payload.get("frame_micro", {}).get("speedup"),
-        }
     if bench_file == "BENCH_serving.json":
         policies = payload.get("policies", {})
         best_p95 = min(

@@ -2,14 +2,13 @@
 """Validate machine-readable benchmark/telemetry artifacts (CI smoke jobs).
 
 One entry point for every JSON artifact this repo emits —
-``BENCH_serving.json`` (``serving_bench/v1``), ``BENCH_engine.json``
-(``engine_bench/v1``), ``BENCH_cluster.json`` (``cluster_bench/v1``),
-``BENCH_slo.json`` (``slo_bench/v1``), ``BENCH_video.json``
-(``video_bench/v1``), ``obs_events/v1`` JSONL logs and Chrome
-trace-event timelines.  The
-actual checks live in :mod:`repro.obs.schemas`, shared with the
-``repro bench run-all`` harness, so the CI inline validation blocks this
-tool replaced cannot drift from what the harness enforces.
+``BENCH_serving.json`` (``serving_bench/v1``), ``BENCH_cluster.json``
+(``cluster_bench/v1``), ``BENCH_slo.json`` (``slo_bench/v1``),
+``BENCH_video.json`` (``video_bench/v1``), ``obs_events/v1`` JSONL logs
+and Chrome trace-event timelines.  The actual checks live in
+:mod:`repro.obs.schemas`, shared with the ``repro bench run-all``
+harness, so the CI inline validation blocks this tool replaced cannot
+drift from what the harness enforces.
 
 Usage::
 
