@@ -60,9 +60,6 @@ class AreaPowerModel:
         if self.scale not in ("server", "edge"):
             raise ConfigurationError("scale must be 'server' or 'edge'")
 
-    def area_mm2(self, component: str) -> float:
-        return COMPONENT_TABLE[component][self.scale][0]
-
     def power_w(self, component: str) -> float:
         return COMPONENT_TABLE[component][self.scale][1] / 1e3
 

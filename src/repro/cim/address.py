@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.nerf.hashgrid import HashGridConfig, hash_coords
+from repro.nerf.hashgrid import HashGridConfig, hash_mix
 
 
 def naive_concat_address(corners: np.ndarray, resolution: int) -> np.ndarray:
@@ -65,6 +65,27 @@ def dense_slot_size(resolution: int) -> int:
     """Address-space footprint of one de-hashed table copy."""
     half = resolution // 2 + 1
     return 8 * half**3
+
+
+def _axis_terms(base: np.ndarray, tables) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """Per axis, the ``(low, high)`` table entries of each voxel's base
+    coordinate and its successor: six ``(N,)`` arrays."""
+    return [
+        (np.take(table, base[:, axis]), np.take(table[1:], base[:, axis]))
+        for axis, table in enumerate(tables)
+    ]
+
+
+def _combine_corners(terms, op) -> np.ndarray:
+    """``(N, 8)`` corner values in ``CORNER_OFFSETS`` order: corner ``i``
+    combines axis ``a``'s high term where bit ``a`` of ``i`` is set.  Each
+    corner is built as one contiguous row, then transposed once."""
+    x, y, z = terms
+    out = np.empty((8, len(x[0])), dtype=x[0].dtype)
+    for i, row in enumerate(out):
+        op(z[i >> 2], y[(i >> 1) & 1], out=row)
+        op(row, x[i & 1], out=row)
+    return out.T.copy()
 
 
 @dataclass
@@ -130,30 +151,53 @@ class HybridAddressGenerator:
 
     def addresses(
         self,
-        corners: np.ndarray,
+        base: np.ndarray,
         level: int,
         request_ids: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Physical addresses of vertex ``corners`` at ``level``.
+        """Physical addresses of the eight vertices of each voxel at ``level``.
+
+        Every mapping splits over the axes: bit reorder is a sum of
+        per-axis terms, naive concatenation an OR of disjoint per-axis
+        fields (so a sum too), the Eq. (2) hash an XOR of per-axis
+        products taken modulo the table size, and a replicated copy adds
+        ``copy_id * dense_slot_size``.  So a voxel's corners combine six
+        per-axis terms — each base coordinate and its successor, looked up
+        in per-axis tables — with no ``(N, 8, 3)`` corner tensor.
 
         Args:
-            corners: ``(N, 8, 3)`` voxel-vertex coordinates.
+            base: ``(N, 3)`` integer voxel bases in ``[0, resolution - 1]``
+                (:func:`~repro.nerf.hashgrid.voxel_floor`); corner ``i`` of
+                a voxel is ``base + CORNER_OFFSETS[i]``.
             request_ids: Optional ``(N,)`` sequence numbers of the issuing
                 sample points; replicated levels stripe consecutive
                 requests across copies (round-robin), which is what lets
                 concurrent points read the same entry conflict-free.
+
+        Returns:
+            ``(N, 8)`` int64 addresses in corner order: the level's mapping
+            (:func:`~repro.nerf.hashgrid.hash_coords`,
+            :func:`naive_concat_address` or :func:`bit_reorder_address`)
+            of every corner.
         """
         mapping = self.levels[level]
+        base = np.asarray(base)
+        # Every mapping sends the origin to 0, so an axis's table is the
+        # mapping (before any modulus) of the grid points on that axis.
+        on_axis = np.zeros((3, mapping.resolution + 1, 3), dtype=np.int64)
+        for axis in range(3):
+            on_axis[axis, :, axis] = np.arange(mapping.resolution + 1)
         if not mapping.dense:
-            return hash_coords(corners, mapping.table_size)
-        if self.mode == "naive":
-            return naive_concat_address(corners, mapping.resolution)
-        copy_ids = None
+            terms = _axis_terms(base, hash_mix(on_axis))
+            mixed = _combine_corners(terms, np.bitwise_xor)
+            return (mixed % np.uint64(mapping.table_size)).astype(np.int64)
+        layout = naive_concat_address if self.mode == "naive" else bit_reorder_address
+        terms = _axis_terms(base, layout(on_axis, mapping.resolution))
         if mapping.copies > 1 and request_ids is not None:
-            copy_ids = (np.asarray(request_ids, dtype=np.int64) % mapping.copies)[
-                :, None
-            ]
-        return bit_reorder_address(corners, mapping.resolution, copy_ids)
+            copy_ids = np.asarray(request_ids, dtype=np.int64) % mapping.copies
+            shift = copy_ids * dense_slot_size(mapping.resolution)
+            terms[0] = (terms[0][0] + shift, terms[0][1] + shift)
+        return _combine_corners(terms, np.add)
 
     def striped(self, level: int) -> bool:
         """Whether the level's physical addresses depend on request ids

@@ -626,7 +626,7 @@ examples:
         epilog="""\
 examples:
   repro bench run-all               # full scale, as committed snapshots
-  repro bench run-all --smoke       # CI scale (~a minute)
+  repro bench run-all --smoke       # CI scale (~a minute), results/smoke/
   repro bench run-all --out-dir /tmp/ae
 """,
     )
@@ -637,9 +637,10 @@ examples:
     p_bench.add_argument("--smoke", action="store_true",
                          help="CI scale: tiny scene, two frames, one "
                               "timing round")
-    p_bench.add_argument("--out-dir", default=".",
+    p_bench.add_argument("--out-dir", default=None,
                          help="where BENCH_*.json and results/ land "
-                              "(default: current directory)")
+                              "(default: current directory, or "
+                              "results/smoke/ with --smoke)")
     p_bench.set_defaults(fn=_cmd_bench)
 
     p_report = sub.add_parser("report", help="regenerate EXPERIMENTS.md")

@@ -50,12 +50,6 @@ SCENE_CENTER = np.array([0.5, 0.5, 0.5])
 #: depth inside that band can cause.
 DEPTH_SPREAD = 0.25
 
-#: Ray classes of the reprojection pass.
-RAY_CONVERGED = "converged"
-RAY_REFINABLE = "refinable"
-RAY_FRESH = "fresh"
-
-
 @dataclass(frozen=True)
 class ReprojectionConfig:
     """Knobs of the temporal-reprojection pass.

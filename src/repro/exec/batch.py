@@ -71,7 +71,6 @@ import numpy as np
 
 from repro.cim.cache import previous_occurrence_gaps
 from repro.errors import SimulationError
-from repro.nerf.hashgrid import CORNER_OFFSETS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.arch.encoding_engine import EncodingReport
@@ -170,9 +169,10 @@ class _ExecutionPricing:
 
 def _price_encoding(ex: "FrameExecution") -> _ExecutionPricing:
     """Stream pass: one fused call per resolution level over the whole
-    frame — logical/striped addresses, register-cache hits
-    (composite-keyed gaps), temporal hits, miss issue groups and
-    per-slice hit counts.  Frame-level arrays memoise on the trace."""
+    frame — logical/striped addresses (built from the frame's voxel
+    bases), register-cache hits (composite-keyed gaps), temporal hits and
+    working sets, miss issue groups and per-slice hit counts.
+    Frame-level arrays memoise on the trace."""
     if ex._scanout:
         raise SimulationError("scan-out executions have no wavefront plan")
     out = _ExecutionPricing()
@@ -198,23 +198,11 @@ def _price_encoding(ex: "FrameExecution") -> _ExecutionPricing:
     request_ids: Optional[np.ndarray] = None
 
     for level in range(num_levels):
-        # The frame's corners at this level, derived lazily from the
-        # execution's hoisted compact voxel bases (skipped entirely when
-        # the address streams below replay from the trace memo).
-        corner_cache: List[np.ndarray] = []
-
-        def corners() -> np.ndarray:
-            if not corner_cache:
-                corner_cache.append(
-                    ex._corner_bases[level].astype(np.int64)[:, None, :]
-                    + CORNER_OFFSETS[None, :, :]
-                )
-            return corner_cache[0]
-
+        base = ex._corner_bases[level]
         compact = engine.compact_dtype(level)
         logical = hook(
             ("addr", level) + sk,
-            lambda: gen.addresses(corners(), level, None).astype(compact),
+            lambda: gen.addresses(base, level, None).astype(compact),
         )
         stream = logical.reshape(-1)
         window = engine.caches[level].window
@@ -243,7 +231,9 @@ def _price_encoding(ex: "FrameExecution") -> _ExecutionPricing:
             t_full = temporal.lookup(stream, level, memo=hook, stream_key=sk)
             t_hits = t_full & ~hits
             served = hits | t_full
-            unique_stream = hook(("uniq", level) + sk, lambda: np.unique(stream))
+            unique_stream = hook(
+                ("uniq", level) + sk, lambda: _working_set(stream)
+            )
             out.records.append((level, unique_stream))
             out.temporal_hits[level] = np.add.reduceat(
                 t_hits.astype(np.int64), starts
@@ -257,9 +247,7 @@ def _price_encoding(ex: "FrameExecution") -> _ExecutionPricing:
                 request_ids = np.arange(total, dtype=np.int64)
             physical = hook(
                 ("addr_striped", level) + sk,
-                lambda: gen.addresses(corners(), level, request_ids).astype(
-                    compact
-                ),
+                lambda: gen.addresses(base, level, request_ids).astype(compact),
             )
         else:
             physical = logical
@@ -267,6 +255,16 @@ def _price_encoding(ex: "FrameExecution") -> _ExecutionPricing:
         out.miss_blocks.append((level, misses))
         out.cache_hits[level] = np.add.reduceat(hits.astype(np.int64), starts)
     return out
+
+
+def _working_set(stream: np.ndarray) -> np.ndarray:
+    """``np.unique(stream)`` — sorted distinct addresses in the stream's
+    dtype — from a bitmap instead of a sort.  The bitmap is sized from the
+    stream's own maximum: naive-mode addresses can exceed the level's
+    storage entries, so the mapping does not bound them."""
+    seen = np.zeros(int(stream.max()) + 1 if stream.size else 0, dtype=bool)
+    seen[stream] = True
+    return np.flatnonzero(seen).astype(stream.dtype)
 
 
 #: Largest register-cache window priced by shifted comparisons instead of

@@ -12,18 +12,21 @@ Besides encoding, this module exports the *addressing* primitives, the
 information the hybrid address generator of Section 5.2.1 consumes:
 
 * :data:`CORNER_OFFSETS` — the eight voxel-corner offsets, in corner order;
+* :func:`voxel_floor` — the voxel-base rule (floor, then clip into the grid);
 * :meth:`HashGridEncoder.voxel_vertices` — one level's vertex coordinates
   and trilinear weights;
 * :attr:`HashGridConfig.level_resolutions` and
   :meth:`HashGridConfig.level_is_dense` — each level's grid and whether it
   is indexed densely or hash-compressed;
 * :func:`dense_coords_index` and :func:`hash_coords` (Eq. 2) — the two
-  table addressing functions.
+  table addressing functions — and :func:`hash_mix`, Eq. 2 before its
+  modulus.
 
 The encoder locates and addresses vertices with these same functions.  The
-architecture simulator and the CIM address model replay the corners, the
-level split and :func:`hash_coords`; dense levels there use the physical
-layouts of :mod:`repro.cim.address` instead of :func:`dense_coords_index`.
+architecture simulator and the CIM address model replay the voxel bases,
+the level split and Eq. 2 (through :func:`hash_mix`); dense levels there
+use the physical layouts of :mod:`repro.cim.address` instead of
+:func:`dense_coords_index`.
 """
 
 from __future__ import annotations
@@ -104,6 +107,23 @@ class HashGridConfig:
         return (res + 1) ** 3 <= self.table_size
 
 
+def hash_mix(coords: np.ndarray) -> np.ndarray:
+    """Eq. (2) before the modulus: the XOR of each coordinate times its
+    prime, in wrapping ``uint64`` arithmetic.
+
+    Args:
+        coords: ``(..., 3)`` integer vertex coordinates.
+
+    Returns:
+        ``(...)`` ``uint64`` mixes; :func:`hash_coords` reduces them.
+    """
+    coords = np.asarray(coords, dtype=np.uint64)
+    result = coords[..., 0] * np.uint64(HASH_PRIMES[0])
+    result ^= coords[..., 1] * np.uint64(HASH_PRIMES[1])
+    result ^= coords[..., 2] * np.uint64(HASH_PRIMES[2])
+    return result
+
+
 def hash_coords(coords: np.ndarray, table_size: int) -> np.ndarray:
     """Spatial hash of integer vertex coordinates, Eq. (2).
 
@@ -114,11 +134,7 @@ def hash_coords(coords: np.ndarray, table_size: int) -> np.ndarray:
     Returns:
         ``(...)`` indices in ``[0, table_size)``.
     """
-    coords = np.asarray(coords, dtype=np.uint64)
-    result = coords[..., 0] * np.uint64(HASH_PRIMES[0])
-    result ^= coords[..., 1] * np.uint64(HASH_PRIMES[1])
-    result ^= coords[..., 2] * np.uint64(HASH_PRIMES[2])
-    return (result % np.uint64(table_size)).astype(np.int64)
+    return (hash_mix(coords) % np.uint64(table_size)).astype(np.int64)
 
 
 def dense_coords_index(
@@ -132,6 +148,17 @@ def dense_coords_index(
     coords = np.asarray(coords, dtype=np.int64)
     stride = resolution + 1
     return (coords[..., 2] * stride + coords[..., 1]) * stride + coords[..., 0]
+
+
+def voxel_floor(scaled: np.ndarray, resolution) -> np.ndarray:
+    """Integer voxel bases of grid-scaled positions: floor, then clip to
+    ``[0, resolution - 1]`` so points on the far face stay in the last
+    voxel.  ``resolution`` broadcasts against ``scaled`` (one grid, or one
+    per level).  The one voxel-base rule of the encoder and of
+    :meth:`repro.exec.frame_trace.FrameTrace.voxel_base`."""
+    base = np.floor(scaled).astype(np.int64)
+    np.clip(base, 0, resolution - 1, out=base)
+    return base
 
 
 def _locate(
@@ -153,8 +180,7 @@ def _locate(
     # keeps the point axis innermost in every array below (``points.T``
     # itself would put the axis of three there, about 2x slower).
     scaled = np.ascontiguousarray(points.T)[:, None, :] * res  # (3, L, N)
-    base = np.floor(scaled).astype(np.int64)
-    base = np.clip(base, 0, res - 1)
+    base = voxel_floor(scaled, res)
     frac = scaled - base
     offsets = CORNER_OFFSETS.T[:, :, None, None]  # (3, 8, 1, 1)
     corners = base[:, None] + offsets

@@ -22,7 +22,8 @@ one ``results/`` folder out:
 Every artefact is validated through :mod:`repro.obs.schemas` before the
 harness reports success, so a run that emits a malformed snapshot fails
 loudly.  ``--smoke`` shrinks every dimension to the CI scale (tiny
-scene, two frames, one timing round); defaults match the committed
+scene, two frames, one timing round) and, without ``--out-dir``, writes
+under the git-ignored ``results/smoke/``; defaults match the committed
 full-scale snapshots.
 
 The cluster, SLO and video payload builders live in ``benchmarks/``
@@ -96,7 +97,7 @@ def _write_json(path: Path, payload: Dict) -> None:
 
 
 def run_all(
-    out_dir=".",
+    out_dir=None,
     smoke: bool = False,
     progress: Optional[Callable[[str], None]] = print,
 ) -> Dict[str, object]:
@@ -107,10 +108,16 @@ def run_all(
     telemetry/summary artefacts into ``out_dir/results/``, validates all
     of them, and returns a manifest ``{"artifacts": {name: path},
     "problems": {path: [...]}, "summary_rows": [...]}`` — empty
-    ``problems`` means every schema checked out.
+    ``problems`` means every schema checked out.  Without ``out_dir`` a
+    full-scale run writes into the current directory (the committed
+    snapshots) and a smoke run into ``results/smoke/``.
     """
     say = progress if progress is not None else (lambda _msg: None)
     preset = SMOKE_PRESET if smoke else FULL_PRESET
+    if out_dir is None:
+        # Smoke-scale numbers must never overwrite the committed
+        # full-scale snapshots; `results/` is git-ignored.
+        out_dir = Path("results", "smoke") if smoke else "."
     out = Path(out_dir)
     results = out / "results"
     results.mkdir(parents=True, exist_ok=True)

@@ -248,6 +248,12 @@ class _Client:
     def window(self) -> Tuple[int, int]:
         return (self.start_frame, self.end)
 
+    @property
+    def alone_key(self) -> Tuple:
+        """What the alone-run reference depends on: the sequence content
+        and the delivered window (the server's pricing knobs are fixed)."""
+        return (self.trace.content_token(),) + self.window
+
 
 class SequenceServer:
     """Interleaves N clients' sequence frames on one simulated accelerator.
@@ -469,8 +475,11 @@ class SequenceServer:
         """
         client = self._find(client_id)
         self._clients.remove(client)
-        for key in [k for k in self._alone_cycles if k[0] == client_id]:
-            del self._alone_cycles[key]
+        # Twins share alone references; keep the ones still read.
+        live = {c.alone_key for c in self._clients}
+        self._alone_cycles = {
+            k: v for k, v in self._alone_cycles.items() if k in live
+        }
         self.last_run_caches.pop(client_id, None)
 
     def truncate_client(
@@ -512,9 +521,13 @@ class SequenceServer:
         reference assumes the hand-off carried the working set — but only
         the window's frames count.  A cold restart therefore shows up as
         extra measured slowdown, which is the point.
+
+        The reference is a pure function of the sequence content and the
+        window, so it runs once per distinct pair: twins of popular
+        content share one run.
         """
         client = self._find(client_id)
-        memo_key = (client_id,) + client.window
+        memo_key = client.alone_key
         if memo_key not in self._alone_cycles:
             start, end = client.window
             # Equivalent to `accelerator.simulate_sequence(...)`, unrolled

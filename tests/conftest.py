@@ -79,11 +79,6 @@ def lego_dataset() -> SceneDataset:
 
 
 @pytest.fixture(scope="session")
-def mic_dataset() -> SceneDataset:
-    return load_dataset("mic", width=24, height=24)
-
-
-@pytest.fixture(scope="session")
 def trained_model(lego_dataset) -> InstantNGPModel:
     """A small Instant-NGP model distilled on the lego scene."""
     model = InstantNGPModel(TEST_MODEL_CONFIG, seed=11)

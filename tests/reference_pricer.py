@@ -6,8 +6,11 @@ This module prices the same steps the slow, obvious way — one wavefront
 slice at a time, straight from the model's primitives:
 
 * voxel corners from :meth:`FrameTrace.voxel_base` plus ``CORNER_OFFSETS``;
-* addresses from :meth:`HybridAddressGenerator.addresses` (request ids
-  restart per frame and advance one per point);
+* addresses from :func:`corner_addresses`, the level's mapping
+  (``hash_coords``, ``naive_concat_address`` or ``bit_reorder_address``)
+  applied to that ``(N, 8, 3)`` corner tensor — production's
+  :meth:`HybridAddressGenerator.addresses` builds them from the voxel
+  bases instead (request ids restart per frame and advance one per point);
 * register-cache hits from :func:`~repro.cim.cache.window_hits` over the
   slice's own stream;
 * temporal hits from :meth:`TemporalVertexCache.lookup`, with every
@@ -39,13 +42,40 @@ import numpy as np
 from repro.arch.buffers import BufferModel, default_buffers
 from repro.arch.bus import BusTraffic, bus_cycles
 from repro.arch.encoding_engine import EncodingReport
-from repro.cim.address import HybridAddressGenerator
+from repro.cim.address import (
+    HybridAddressGenerator,
+    bit_reorder_address,
+    naive_concat_address,
+)
 from repro.cim.cache import RegisterCache, window_hits
 from repro.cim.memxbar import MemXbarBank
 from repro.errors import SimulationError
 from repro.exec.execution import FrameExecution
-from repro.nerf.hashgrid import CORNER_OFFSETS
+from repro.nerf.hashgrid import CORNER_OFFSETS, hash_coords
 from repro.obs.events import EV_EXEC_STEP
+
+
+def corner_addresses(
+    generator: HybridAddressGenerator,
+    corners: np.ndarray,
+    level: int,
+    request_ids: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """The ``(N, 8)`` addresses of the ``(N, 8, 3)`` vertex ``corners`` at
+    ``level``: the level's mapping applied to every corner coordinate,
+    with replicated levels striping request ``r`` onto copy
+    ``r % copies``."""
+    mapping = generator.levels[level]
+    if not mapping.dense:
+        return hash_coords(corners, mapping.table_size)
+    if generator.mode == "naive":
+        return naive_concat_address(corners, mapping.resolution)
+    copy_ids = None
+    if mapping.copies > 1 and request_ids is not None:
+        copy_ids = (np.asarray(request_ids, dtype=np.int64) % mapping.copies)[
+            :, None
+        ]
+    return bit_reorder_address(corners, mapping.resolution, copy_ids)
 
 
 def _price_encoding(ex: FrameExecution, sl, request_start: int) -> EncodingReport:
@@ -63,7 +93,7 @@ def _price_encoding(ex: FrameExecution, sl, request_start: int) -> EncodingRepor
         resolution = int(grid.level_resolutions[level])
         base = ex.trace.voxel_base(sl.index, resolution)[sl.points]
         corners = base.astype(np.int64)[:, None, :] + CORNER_OFFSETS[None, :, :]
-        logical = generator.addresses(corners, level, None)
+        logical = corner_addresses(generator, corners, level)
         stream = logical.reshape(-1)
         hits = window_hits(stream, window)
         served = hits
@@ -75,7 +105,7 @@ def _price_encoding(ex: FrameExecution, sl, request_start: int) -> EncodingRepor
             report.temporal_hits += int(t_hits.sum())
             served = hits | t_hits
         if generator.striped(level):
-            physical = generator.addresses(corners, level, request_ids)
+            physical = corner_addresses(generator, corners, level, request_ids)
         else:
             physical = logical
         misses = np.where(served, -1, physical.reshape(-1)).reshape(p, 8)

@@ -13,6 +13,7 @@ from repro.cim.address import (
 )
 from repro.errors import ConfigurationError
 from repro.nerf.hashgrid import CORNER_OFFSETS, HashGridConfig
+from tests.reference_pricer import corner_addresses
 
 
 def _voxel_corners(base):
@@ -107,8 +108,8 @@ class TestHybridGenerator:
 
     def test_addresses_shape(self, rng):
         gen = HybridAddressGenerator(GRID, mode="hybrid")
-        corners = rng.integers(0, 4, size=(10, 8, 3))
-        addrs = gen.addresses(corners, 0, request_ids=np.arange(10))
+        base = rng.integers(0, 4, size=(10, 3))
+        addrs = gen.addresses(base, 0, request_ids=np.arange(10))
         assert addrs.shape == (10, 8)
 
     def test_request_striping_spreads_copies(self):
@@ -116,14 +117,14 @@ class TestHybridGenerator:
         gen = HybridAddressGenerator(GRID, mode="hybrid")
         mapping = gen.levels[0]
         assert mapping.copies > 1
-        corners = np.tile(_voxel_corners([1, 1, 1]), (2, 1, 1))
-        addrs = gen.addresses(corners, 0, request_ids=np.array([0, 1]))
+        base = np.array([[1, 1, 1], [1, 1, 1]])
+        addrs = gen.addresses(base, 0, request_ids=np.array([0, 1]))
         assert not np.array_equal(addrs[0], addrs[1])
 
     def test_no_request_ids_no_striping(self):
         gen = HybridAddressGenerator(GRID, mode="hybrid")
-        corners = np.tile(_voxel_corners([1, 1, 1]), (2, 1, 1))
-        addrs = gen.addresses(corners, 0, request_ids=None)
+        base = np.array([[1, 1, 1], [1, 1, 1]])
+        addrs = gen.addresses(base, 0, request_ids=None)
         np.testing.assert_array_equal(addrs[0], addrs[1])
 
     def test_hashed_level_matches_eq2(self, rng):
@@ -131,16 +132,71 @@ class TestHybridGenerator:
 
         gen = HybridAddressGenerator(GRID, mode="hybrid")
         level = GRID.num_levels - 1
-        corners = rng.integers(0, 60, size=(5, 8, 3))
+        base = rng.integers(0, 60, size=(5, 3))
         np.testing.assert_array_equal(
-            gen.addresses(corners, level),
-            hash_coords(corners, GRID.table_size),
+            gen.addresses(base, level),
+            hash_coords(base[:, None, :] + CORNER_OFFSETS, GRID.table_size),
         )
 
     def test_storage_entries_cover_copies(self):
         gen = HybridAddressGenerator(GRID, mode="hybrid")
         for level, mapping in enumerate(gen.levels):
             assert gen.level_storage_entries(level) >= mapping.address_space
+
+
+#: Grids whose levels span dense and hashed mappings, replicated and
+#: single-copy dense tables, the paper's 2^19 tables up to resolution 512,
+#: and a table size that is not a power of two (Eq. 2's modulus).
+ORACLE_GRIDS = (
+    GRID,
+    HashGridConfig(),
+    HashGridConfig(num_levels=4, table_size=1000, base_resolution=3,
+                   max_resolution=40),
+)
+
+
+class TestBaseAddresses:
+    """``addresses`` builds each voxel's corners from its base; the oracle
+    applies the level's mapping to the ``(N, 8, 3)`` corner tensor."""
+
+    @given(
+        grid=st.sampled_from(ORACLE_GRIDS),
+        mode=st.sampled_from(HybridAddressGenerator.MODES),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_corner_tensor_composition(self, grid, mode, data):
+        gen = HybridAddressGenerator(grid, mode=mode)
+        level = data.draw(st.integers(0, grid.num_levels - 1))
+        res = gen.levels[level].resolution
+        coord = st.integers(0, res - 1)
+        drawn = data.draw(st.lists(st.tuples(coord, coord, coord), max_size=12))
+        dtype = data.draw(st.sampled_from([np.int16, np.int32, np.int64]))
+        # Both ends of the grid are always present.
+        base = np.array([(0, 0, 0), (res - 1,) * 3] + drawn, dtype=dtype)
+        request_ids = data.draw(
+            st.none() | st.integers(0, 50).map(lambda s: s + np.arange(len(base)))
+        )
+        corners = base.astype(np.int64)[:, None, :] + CORNER_OFFSETS[None]
+        expected = corner_addresses(gen, corners, level, request_ids)
+        got = gen.addresses(base, level, request_ids)
+        assert got.dtype == expected.dtype == np.int64
+        np.testing.assert_array_equal(got, expected)
+
+    def test_oracle_grids_cover_every_mapping(self):
+        kinds = set()
+        for grid in ORACLE_GRIDS:
+            for mode in HybridAddressGenerator.MODES:
+                for m in HybridAddressGenerator(grid, mode=mode).levels:
+                    kinds.add("hashed" if not m.dense else
+                              "replicated" if m.copies > 1 else "dense")
+        assert kinds == {"hashed", "replicated", "dense"}
+
+    def test_empty_base(self):
+        gen = HybridAddressGenerator(GRID, mode="hybrid")
+        for level in range(GRID.num_levels):
+            addrs = gen.addresses(np.empty((0, 3), np.int16), level, np.arange(0))
+            assert addrs.shape == (0, 8) and addrs.dtype == np.int64
 
 
 class TestLevelMapping:

@@ -374,3 +374,23 @@ class TestRowCappedBankPass:
         finally:
             tracemalloc.stop()
         assert peak / trace.density_points <= 1536
+
+
+class TestWorkingSet:
+    """A level's temporal working set is ``np.unique`` of its stream."""
+
+    @given(
+        values=st.lists(st.integers(0, 1 << 20), max_size=300),
+        dtype=st.sampled_from([np.int32, np.int64]),
+    )
+    def test_bitmap_equals_unique(self, values, dtype):
+        stream = np.array(values, dtype=dtype)
+        got = batch._working_set(stream)
+        expected = np.unique(stream)
+        assert got.dtype == expected.dtype
+        np.testing.assert_array_equal(got, expected)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_empty_stream(self, dtype):
+        got = batch._working_set(np.empty(0, dtype=dtype))
+        assert got.dtype == dtype and got.size == 0

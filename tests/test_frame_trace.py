@@ -221,6 +221,44 @@ class TestFromBudgets:
             np.testing.assert_array_equal(sl.corners(res), expected)
 
 
+def _delivered_recount(trace: FrameTrace) -> int:
+    """Scan-out pixels counted per pixel: marched at least one sample in
+    some wavefront, plus the reprojected ones."""
+    marched = np.zeros(trace.num_pixels, dtype=bool)
+    for wf in trace.wavefronts:
+        marched[wf.ray_ids[wf.used > 0]] = True
+    return int(marched.sum()) + trace.reprojected_pixels
+
+
+class TestRenderedPixels:
+    def test_cached_count_equals_recount_for_every_constructor(
+        self, lego_dataset
+    ):
+        camera = lego_dataset.cameras[0]
+        budgets = np.full(24 * 24, 6, dtype=np.int64)
+        budgets[::5] = 0  # never marched
+        trace = FrameTrace.from_budgets(camera, budgets)
+        skip = np.zeros(trace.num_pixels, dtype=bool)
+        skip[1::3] = True
+        warped = trace.with_reprojection(skip)
+        derived = {
+            "from_budgets": trace,
+            "with_budget_cap": trace.with_budget_cap(0.5),
+            "with_reprojection": warped,
+            "from_dict": FrameTrace.from_dict(warped.to_dict()),
+        }
+        assert 0 < warped.reprojected_pixels < trace.rendered_pixels
+        assert trace.rendered_pixels < trace.num_pixels
+        for name, t in derived.items():
+            recount = _delivered_recount(t)
+            assert t.rendered_pixels == recount, name
+            assert t.rendered_pixels == recount, name  # the cached read
+        # Thinning and capping keep every delivered pixel.
+        assert {t.rendered_pixels for t in derived.values()} == {
+            trace.rendered_pixels
+        }
+
+
 class TestProfilerHelpers:
     def test_neighbour_pairs_guard(self):
         # Last pixel of the image hits: must not pair with itself or

@@ -976,6 +976,71 @@ class TestContentKeyedCaches:
         assert len(server._scanout_memo) <= 4
 
 
+class TestAloneReferences:
+    """The alone-run reference is a function of sequence content and
+    delivered window only, so twins share one run."""
+
+    @pytest.fixture
+    def alone_passes(self, monkeypatch):
+        """The sequences each alone-run pass executed, in call order."""
+        import repro.serving.server as server_module
+
+        calls = []
+        real = server_module.sequence_executions
+
+        def counting(accelerator, trace, **kwargs):
+            calls.append(trace)
+            return real(accelerator, trace, **kwargs)
+
+        monkeypatch.setattr(server_module, "sequence_executions", counting)
+        return calls
+
+    def test_one_alone_pass_per_content(self, accelerator, alone_passes):
+        paths = _distinct_paths(2)
+        server = SequenceServer(accelerator)
+        for i in range(4):
+            path = paths[i % 2]
+            server.submit(_request(f"c{i}", path), synthetic_sequence(path))
+        alone = [server.alone_cycles(f"c{i}") for i in range(4)]
+        assert len(alone_passes) == 2
+        assert alone[0] == alone[2] != alone[1] == alone[3]
+        report = server.serve("fifo")
+        assert len(alone_passes) == 2
+        assert [c.alone_cycles for c in report.clients] == alone
+
+    def test_windowed_tenant_gets_own_reference(self, accelerator, alone_passes):
+        path = _distinct_paths(1)[0]
+        server = SequenceServer(accelerator)
+        server.submit(_request("full", path), synthetic_sequence(path))
+        server.submit(
+            _request("tail", path), synthetic_sequence(path), start_frame=2
+        )
+        full = server.alone_cycles("full")
+        tail = server.alone_cycles("tail")
+        assert len(alone_passes) == 2
+        fresh = SequenceServer(accelerator)
+        fresh.submit(
+            _request("tail", path), synthetic_sequence(path), start_frame=2
+        )
+        assert tail == fresh.alone_cycles("tail") < full
+
+    def test_release_keeps_the_twin_reference(self, accelerator, alone_passes):
+        path = _distinct_paths(1)[0]
+        server = SequenceServer(accelerator)
+        server.submit(_request("a", path), synthetic_sequence(path))
+        server.submit(_request("b", path), synthetic_sequence(path))
+        server.alone_cycles("a")
+        server.release("a")
+        fresh = SequenceServer(accelerator)
+        fresh.submit(_request("b", path), synthetic_sequence(path))
+        expected = fresh.alone_cycles("b")
+        assert len(alone_passes) == 2
+        assert server.alone_cycles("b") == expected
+        assert len(alone_passes) == 2  # b read the entry a's run left
+        server.release("b")
+        assert server._alone_cycles == {}
+
+
 # ----------------------------------------------------------------------
 # Mid-flight twin deferral (preemptive duplicate-execution fix)
 # ----------------------------------------------------------------------
