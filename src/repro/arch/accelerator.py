@@ -440,34 +440,6 @@ class ASDRAccelerator:
         )
 
     # ------------------------------------------------------------------
-    def simulate_sequence_frame(
-        self,
-        sequence: SequenceTrace,
-        frame: int,
-        group_size: Optional[int] = None,
-        temporal: Optional[TemporalVertexCache] = None,
-    ) -> SimReport:
-        """Simulate one frame of a sequence — the interleaving unit.
-
-        :meth:`simulate_sequence` calls this in path order with one shared
-        temporal cache; the multi-tenant serving layer
-        (:class:`~repro.serving.server.SequenceServer`) calls it in
-        *scheduler* order, passing each client's own cache partition, so
-        per-client cycle and energy attribution falls out of the returned
-        per-frame :class:`SimReport` directly.
-
-        Frames recorded as pose replays never touch the engines (they are
-        priced via :meth:`simulate_scanout`); fresh frames are replayed
-        through :meth:`simulate_trace` with the frame-scoped sequence memo,
-        and the temporal cache — when given — is committed at the frame
-        boundary so the client's next frame compares against this frame's
-        working set.
-        """
-        return self.frame_execution(
-            sequence, frame, group_size=group_size, temporal=temporal
-        ).finish()
-
-    # ------------------------------------------------------------------
     def frame_execution(
         self,
         sequence: SequenceTrace,

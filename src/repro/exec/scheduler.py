@@ -137,13 +137,9 @@ class FrameWorkItem:
         service_cycles: Accelerator cycles charged to this frame so far.
         preemptions: Times this frame was suspended with work remaining
             while another tenant's wavefronts ran.
-        budget_fraction: Sampling-budget fraction this frame actually ran
-            at (``None`` = full quality; set by the server's
-            degraded-quality mode before the first wavefront).
-        reprojected: True when the server served this frame through the
-            temporal-reprojection degrade path (converged rays warped
-            from the previous delivered frame instead of marched); set
-            before the first wavefront, like ``budget_fraction``.
+        thinned: True when the server's degraded-quality mode ran the
+            frame over a thinned trace (reprojected or budget-capped);
+            set before the first wavefront.
     """
 
     client: str
@@ -156,8 +152,7 @@ class FrameWorkItem:
     start_cycle: int = field(default=-1, compare=False)
     service_cycles: int = field(default=0, compare=False)
     preemptions: int = field(default=0, compare=False)
-    budget_fraction: Optional[float] = field(default=None, compare=False)
-    reprojected: bool = field(default=False, compare=False)
+    thinned: bool = field(default=False, compare=False)
 
     @property
     def started(self) -> bool:
@@ -177,8 +172,7 @@ class FrameWorkItem:
             start_cycle=-1,
             service_cycles=0,
             preemptions=0,
-            budget_fraction=None,
-            reprojected=False,
+            thinned=False,
         )
 
 

@@ -157,7 +157,10 @@ def voxel_floor(scaled: np.ndarray, resolution) -> np.ndarray:
     per level).  The one voxel-base rule of the encoder and of
     :meth:`repro.exec.frame_trace.FrameTrace.voxel_base`."""
     base = np.floor(scaled).astype(np.int64)
-    np.clip(base, 0, resolution - 1, out=base)
+    # Two ufuncs rather than np.clip, whose Python-level wrapper costs
+    # as much as the work on the small per-wavefront arrays seen here.
+    np.maximum(base, 0, out=base)
+    np.minimum(base, resolution - 1, out=base)
     return base
 
 

@@ -63,7 +63,7 @@ from repro.obs.recorder import NULL_RECORDER, Recorder, ScopedRecorder
 from repro.serving.policies import SchedulingPolicy
 from repro.serving.report import ServeReport, jain_fairness
 from repro.serving.request import ClientRequest
-from repro.serving.server import SequenceServer
+from repro.serving.server import SequenceServer, pose_content_id
 from repro.serving.slo import SLOConfig
 
 #: Router policy names (the ``--router`` choices).
@@ -352,7 +352,7 @@ class ClusterServer:
             ``random`` hashes the client id (the placement-blind
             baseline).
         group_size / temporal_capacity / shared_content /
-        context_switch_cycles / twin_defer_limit / slo: Forwarded to
+        context_switch_cycles / slo: Forwarded to
             every shard's :class:`~repro.serving.server.SequenceServer`
             (the SLO/overload config applies per shard — each box guards
             its own backlog, exactly as a fleet of independent admission
@@ -386,7 +386,6 @@ class ClusterServer:
         temporal_capacity: Optional[int] = None,
         shared_content: bool = True,
         context_switch_cycles: int = 0,
-        twin_defer_limit: int = 256,
         spare_accelerators: Sequence[ASDRAccelerator] = (),
         scale_out_threshold: Optional[int] = None,
         recorder: Optional[Recorder] = None,
@@ -414,7 +413,6 @@ class ClusterServer:
             temporal_capacity=temporal_capacity,
             shared_content=shared_content,
             context_switch_cycles=context_switch_cycles,
-            twin_defer_limit=twin_defer_limit,
             slo=slo,
         )
         self.shared_content = shared_content
@@ -508,18 +506,11 @@ class ClusterServer:
         so pose-overlap affinity co-locates exactly the tenants whose
         keyframes can cross-replay."""
         cameras = request.path.cameras()
-        ids = []
-        for k in range(trace.num_frames):
-            if trace.replays[k] is None and trace.planned[k]:
-                ids.append(
-                    (
-                        "pose",
-                        request.scene,
-                        request.tensorf,
-                        pose_key(cameras[k]),
-                    )
-                )
-        return ids
+        return [
+            pose_content_id(request, pose_key(cameras[k]))
+            for k in range(trace.num_frames)
+            if trace.replays[k] is None and trace.planned[k]
+        ]
 
     def _least_loaded(self) -> int:
         """Shard with the least queued work, normalised by clock speed

@@ -65,8 +65,9 @@ from typing import Dict, List, Optional, Set, Tuple, Union
 from repro.arch.accelerator import ASDRAccelerator
 from repro.cim.cache import TemporalVertexCache
 from repro.errors import ConfigurationError
-from repro.exec.batch import FramePlan, build_frame_plans
-from repro.exec.execution import FrameExecution, sequence_executions
+from repro.exec.batch import build_frame_plans
+from repro.exec.execution import sequence_executions
+from repro.exec.frame_trace import FrameTrace
 from repro.exec.scheduler import (
     WORK_PROBE,
     WORK_REPLAY,
@@ -116,6 +117,16 @@ from repro.serving.slo import (
 #: pre-calibration ordering and derived deadlines; every policy is
 #: deterministic for any choice).
 INITIAL_CYCLES_PER_POINT = 2.0
+
+
+def pose_content_id(request: ClientRequest, pose: bytes) -> Tuple:
+    """Content id of a Phase I keyframe rendered at ``pose`` (a
+    :func:`~repro.exec.sequence.pose_key`).  Its pixels depend on nothing
+    but the scene model and the pose, so any two clients probing a
+    bit-identical pose render bit-identical frames: the scheduler
+    replays keyframes across clients by this id, and the cluster's pose
+    affinity co-locates tenants by it."""
+    return ("pose", request.scene, request.tensorf, pose)
 
 
 class _LRUCache:
@@ -274,14 +285,6 @@ class SequenceServer:
             tenant (preemptive policies only; 0 = free switches).  The
             overhead is accounted *next to* per-client service cycles,
             never inside them, so conservation stays exact.
-        twin_defer_limit: Under preemptive policies, a frame whose
-            content is currently executing fresh on another tenant (a
-            mid-flight twin) is *deferred* until the leader's scan-out
-            commit — it then delivers as a cross-client replay instead
-            of double-charging the shared content.  The limit is the
-            starvation guard: after this many deferred scheduling
-            decisions the follower executes fresh regardless.  ``0``
-            disables deferral (the pre-fix behaviour).
         recorder: Optional :class:`~repro.obs.recorder.Recorder` that
             receives the serving event stream (quantum/scan-out charges,
             admission, preemption, cache outcomes — see
@@ -308,7 +311,15 @@ class SequenceServer:
     #: mix, small enough that a never-restarted server stays flat.
     PLAN_CACHE_SIZE = 512
     SCANOUT_MEMO_SIZE = 1024
-    DEGRADED_MEMO_SIZE = 256
+    THINNED_MEMO_SIZE = 256
+
+    #: Under preemptive policies, a frame whose content is executing
+    #: fresh on another tenant (a mid-flight twin) is *deferred* until
+    #: the leader's scan-out commit — it then delivers as a cross-client
+    #: replay instead of double-charging the shared content.  The limit
+    #: is the starvation guard: after this many deferred scheduling
+    #: decisions the follower executes fresh regardless.
+    TWIN_DEFER_LIMIT = 256
 
     def __init__(
         self,
@@ -317,14 +328,11 @@ class SequenceServer:
         temporal_capacity: Optional[int] = None,
         shared_content: bool = True,
         context_switch_cycles: int = 0,
-        twin_defer_limit: int = 256,
         recorder: Optional[Recorder] = None,
         slo: Optional[SLOConfig] = None,
     ) -> None:
         if context_switch_cycles < 0:
             raise ConfigurationError("context_switch_cycles must be >= 0")
-        if twin_defer_limit < 0:
-            raise ConfigurationError("twin_defer_limit must be >= 0")
         self.accelerator = accelerator
         #: Telemetry sink for the serving event loop (see
         #: :mod:`repro.obs`).  Observer-only: every event carries values
@@ -337,16 +345,15 @@ class SequenceServer:
         self.temporal_capacity = temporal_capacity
         self.shared_content = shared_content
         self.context_switch_cycles = context_switch_cycles
-        self.twin_defer_limit = twin_defer_limit
         self.slo = slo
         self._clients: List[_Client] = []
         self._order_counter = 0
         self._alone_cycles: Dict[Tuple, int] = {}
         self._scanout_memo = _LRUCache(self.SCANOUT_MEMO_SIZE)
-        # Budget-capped trace copies for degraded-quality serving, keyed
-        # by frame content digest + fraction (twins of popular content
-        # share one degraded copy; never keyed by object identity).
-        self._degraded_memo = _LRUCache(self.DEGRADED_MEMO_SIZE)
+        # Thinned trace copies for degraded-quality serving, keyed by
+        # frame content digest + thinning (twins of popular content share
+        # one copy; never keyed by object identity).
+        self._thinned_memo = _LRUCache(self.THINNED_MEMO_SIZE)
         # Batched pricing plans, content-addressed by (sequence content
         # token, frame, temporal resident token).  A plan depends only on
         # the frame trace, the accelerator, the pricing knobs (fixed per
@@ -432,10 +439,9 @@ class SequenceServer:
             )
         new_items = sequence_work_items(request.client_id, trace)
         if self.slo is not None and self.slo.admit_cycles is not None:
-            projected = sum(
-                self._window_est_cycles(c.trace, c.items, *c.window)
-                for c in self._clients
-            ) + self._window_est_cycles(trace, new_items, start_frame, end)
+            projected = self.projected_backlog_cycles() + (
+                self._window_est_cycles(trace, new_items, start_frame, end)
+            )
             if projected > self.slo.admit_cycles:
                 if self.recorder.enabled:
                     self.recorder.emit(
@@ -620,109 +626,28 @@ class SequenceServer:
             for c in self._clients
         )
 
-    def _degraded_trace(self, client: _Client, frame: int, fraction: float):
-        """The budget-capped copy of one frame's trace (memoised by
-        content digest, so twins and repeated serve() runs share it)."""
-        full = client.trace.frames[frame]
-        key = ("degraded", full.content_digest(), fraction)
-        cached = self._degraded_memo.get(key)
-        if cached is None:
-            cached = full.with_budget_cap(fraction)
-            self._degraded_memo.put(key, cached)
-        return cached
-
-    def _reprojected_trace(self, client: _Client, frame: int, mask):
-        """The reprojection-thinned copy of one frame's trace: converged
-        rays (``mask`` True) are dropped from every wavefront and priced
-        as scan-out-only reprojected pixels.  Memoised alongside the
-        budget-capped traces, keyed by content digest plus the mask."""
-        full = client.trace.frames[frame]
-        key = ("reprojected", full.content_digest(), mask.tobytes())
-        cached = self._degraded_memo.get(key)
-        if cached is None:
-            cached = full.with_reprojection(mask)
-            self._degraded_memo.put(key, cached)
-        return cached
-
-    def _prepare_plans(
-        self,
-        client: _Client,
-        k: int,
-        item: FrameWorkItem,
-        ready: List[_Client],
-        hits: List[bool],
-        blocked: List[bool],
-        items: Dict[str, List[FrameWorkItem]],
-        next_frame: Dict[str, int],
-        partitions: TemporalCachePartitions,
-        rec: Optional[Recorder] = None,
-        clock: int = 0,
-    ) -> None:
-        """The cross-tenant batching seam of the serving loop.
-
-        Called once per freshly started frame: attach the chosen
-        execution's cached pricing plan when one is still valid for its
-        partition's resident content, and otherwise price it in **one
-        fused batch** together with every other ready client's unstarted
-        fresh head frame that lacks a valid plan.  Those head frames'
-        pricing is independent of how the policy will interleave the
-        quanta — each client's resident set was committed by its own
-        previous frame and only changes at frame boundaries or elastic
-        re-partitions (which invalidate the plan token) — so pre-pricing
-        them cannot disturb the schedule; the throwaway executions built
-        here are never started, keeping `item.started` (and therefore the
-        policy's view) untouched.
-        """
-        if item.execution._scanout:
-            return
-        to_build: List[Tuple[Tuple, FrameExecution]] = []
+    def _thinned_trace(
+        self, full: FrameTrace, mask, fraction: float
+    ) -> FrameTrace:
+        """The thinned copy of one frame's trace a degraded start runs:
+        with a skip ``mask``, converged rays (True) are dropped from every
+        wavefront and priced as scan-out-only reprojected pixels; without
+        one, every ray's budget is capped at ``fraction``.  Memoised by
+        content digest plus the thinning, so twins and repeated serve()
+        runs share one copy."""
         key = (
-            client.trace.content_token(),
-            k,
-            partitions.cache_for(client.id).resident_token,
+            full.content_digest(),
+            fraction if mask is None else mask.tobytes(),
         )
-        cached = self._plan_cache.get(key)
-        if cached is None or not item.execution.attach_plan(cached):
-            to_build.append((key, item.execution))
-        if rec is not None:
-            rec.emit(
-                EV_PLAN_CACHE,
-                clock,
-                client=client.id,
-                frame=k,
-                outcome="miss" if to_build else "hit",
+        cached = self._thinned_memo.get(key)
+        if cached is None:
+            cached = (
+                full.with_budget_cap(fraction)
+                if mask is None
+                else full.with_reprojection(mask)
             )
-        queued = {entry[0] for entry in to_build}
-        for i, c in enumerate(ready):
-            if c.id == client.id:
-                continue
-            kc = next_frame[c.id]
-            it = items[c.id][kc]
-            if it.started or it.mode == WORK_REPLAY or hits[i] or blocked[i]:
-                # Blocked twins are deferred expecting a scan-out
-                # delivery — pre-pricing them would waste the build.
-                continue
-            key = (
-                c.trace.content_token(),
-                kc,
-                partitions.cache_for(c.id).resident_token,
-            )
-            if key in self._plan_cache or key in queued:
-                continue
-            ex = self.accelerator.frame_execution(
-                c.trace,
-                kc,
-                group_size=self.group_size,
-                temporal=partitions.cache_for(c.id),
-            )
-            if not ex._scanout:
-                to_build.append((key, ex))
-                queued.add(key)
-        if not to_build:
-            return
-        plans = build_frame_plans([entry[1] for entry in to_build])
-        for (key, _), plan in zip(to_build, plans):
-            self._plan_cache.put(key, plan)
+            self._thinned_memo.put(key, cached)
+        return cached
 
     def _derive_deadlines(self) -> None:
         """Fix per-frame deadlines before the run starts.
@@ -774,30 +699,23 @@ class SequenceServer:
                 for k in range(len(client.items))
             ]
 
-    def _content_ids(
-        self, client: _Client, frame: int
-    ) -> Tuple[Tuple, Optional[Tuple]]:
-        """(sequence-level, pose-level) content identities of one frame.
+    def _content_ids(self, client: _Client, frame: int) -> Tuple[Tuple, ...]:
+        """Content identities of one frame: the sequence-level id, then —
+        for Phase I keyframes only — the pose-level id.
 
         The sequence-level id resolves in-sequence replays to their source
         frame, so twin requests (equal :meth:`~repro.serving.request.
         ClientRequest.content_key`) share ids frame by frame.  The
-        pose-level id exists only for Phase I keyframes — their pixels
-        depend on nothing but the scene model and the pose, so any two
-        clients probing a bit-identical pose render bit-identical frames.
+        pose-level id is :func:`pose_content_id`.
         """
         replay_of = client.trace.replays[frame]
         resolved = frame if replay_of is None else replay_of
         seq_id = client.request.content_key() + (resolved,)
-        pose_id = None
         if replay_of is None and client.trace.planned[frame]:
-            pose_id = (
-                "pose",
-                client.request.scene,
-                client.request.tensorf,
-                client.pose_keys[frame],
+            return seq_id, pose_content_id(
+                client.request, client.pose_keys[frame]
             )
-        return seq_id, pose_id
+        return (seq_id,)
 
     # ------------------------------------------------------------------
     # The serving event loop
@@ -807,15 +725,16 @@ class SequenceServer:
     ) -> ServeReport:
         """Run every admitted client under ``policy`` on a virtual clock.
 
-        Each iteration of the event loop: departed clients abort (their
-        in-flight execution is abandoned, their temporal-cache share is
-        redistributed), newly arrived clients are admitted (elastic
-        re-partitioning), the policy picks among the ready clients' head
-        frames, and the chosen frame executes — to completion for a
-        non-preemptive policy, for at most ``policy.quantum`` wavefront
-        steps otherwise — advancing the clock by exactly the cycles
-        charged.  Serving the same submissions twice yields identical
-        reports — all pricing is deterministic arithmetic on the traces.
+        Each iteration of the event loop (one :class:`_ServeRun` step):
+        departed clients abort (their in-flight execution is abandoned,
+        their temporal-cache share is redistributed), newly arrived
+        clients are admitted (elastic re-partitioning), the policy picks
+        among the ready clients' head frames, and the chosen frame
+        executes — to completion for a non-preemptive policy, for at most
+        ``policy.quantum`` wavefront steps otherwise — advancing the clock
+        by exactly the cycles charged.  Serving the same submissions twice
+        yields identical reports — all pricing is deterministic
+        arithmetic on the traces.
 
         Returns:
             A :class:`~repro.serving.report.ServeReport` with the
@@ -828,723 +747,735 @@ class SequenceServer:
         if isinstance(policy, str):
             policy = make_policy(policy)
         self._derive_deadlines()
-        slo = self.slo
+        run = _ServeRun(self, policy)
+        while run.step():
+            pass
+        return run.report()
+
+
+class _ServeRun:
+    """One :meth:`SequenceServer.serve` call: its state (fresh work items,
+    an initially empty partition set, a cold cost model) and the steps of
+    its event loop.  A disabled recorder is normalised to ``None`` once,
+    so every emit site costs one identity check; events only *read*
+    values the loop computed anyway — nothing feeds back into pricing or
+    scheduling.
+    """
+
+    def __init__(self, server: SequenceServer, policy: SchedulingPolicy):
+        self.server = server
+        self.policy = policy
+        self.slo = server.slo
+        self.rec = server.recorder if server.recorder.enabled else None
+        self.clients = server._clients
         # Quantum auto-tuning: with `quantum="auto"` every decision runs
         # the tuner's current quantum, re-sized from the measured
         # cycles-per-step distribution after each charge.  The tuner sees
         # only values the loop computes anyway, so auto-tuned schedules
         # are deterministic and engine/recorder independent.
-        tuner = (
+        self.tuner = (
             QuantumAutoTuner()
             if policy.preemptive and policy.quantum == AUTO_QUANTUM
             else None
         )
-        # Runtime state is per serve() call: fresh work items (the server
-        # is re-entrant across policies), an initially empty partition set
-        # (tenants are admitted as they arrive) and a cold cost model.
-        items: Dict[str, List[FrameWorkItem]] = {
-            c.id: [item.fresh() for item in c.items] for c in self._clients
+        self.items: Dict[str, List[FrameWorkItem]] = {
+            c.id: [item.fresh() for item in c.items] for c in self.clients
         }
-        partitions = TemporalCachePartitions([], self.temporal_capacity)
-        cost_model = WavefrontCostModel()
-        executed: Set[Tuple] = set()
+        self.partitions = TemporalCachePartitions([], server.temporal_capacity)
+        self.cost_model = WavefrontCostModel()
+        self.executed: Set[Tuple] = set()
         # Content currently executing *fresh* on some tenant: content id
         # -> leader client id.  Under a preemptive policy an unstarted
         # twin of an in-flight frame defers (bounded by the starvation
         # guard) so it can deliver as a scan-out replay after the
         # leader's commit instead of double-charging shared content.
-        in_flight_content: Dict[Tuple, str] = {}
-        defer_counts: Dict[Tuple[str, int], int] = {}
-        self.last_run_caches = {}
-        # Telemetry: a disabled recorder is normalised to None once, so
-        # every emit site below costs one identity check on the hot path.
-        # Events only *read* values the loop computed anyway — nothing
-        # below may feed back into pricing or scheduling.
-        rec = self.recorder if self.recorder.enabled else None
-        reports = {
+        self.in_flight_content: Dict[Tuple, str] = {}
+        self.defer_counts: Dict[Tuple[str, int], int] = {}
+        server.last_run_caches = {}
+        self.reports = {
             c.id: ClientServeReport(
                 client_id=c.id,
                 scene=c.request.scene,
                 preset=c.request.path.preset,
                 arrival_cycle=c.request.arrival_cycle,
-                alone_cycles=self.alone_cycles(c.id),
+                alone_cycles=server.alone_cycles(c.id),
                 slo_class=c.request.slo_class,
             )
-            for c in self._clients
+            for c in self.clients
         }
         # Frames dropped by load shedding, per client — an in-sequence
         # replay whose source frame was shed cascades (there are no
-        # rendered pixels to scan out), so the set is consulted at the
-        # head of every iteration.
-        shed_sets: Dict[str, Set[int]] = {c.id: set() for c in self._clients}
-        next_frame = {c.id: c.start_frame for c in self._clients}
-        ends = {c.id: c.end for c in self._clients}
-        finished: Set[str] = set()  # departed or fully served
-        admitted: Set[str] = set()
-        schedule: List[ScheduledFrame] = []
-        clock = 0
-        context_switches = 0
-        context_switch_cycles = 0
+        # rendered pixels to scan out).
+        self.shed_sets: Dict[str, Set[int]] = {
+            c.id: set() for c in self.clients
+        }
+        self.next_frame = {c.id: c.start_frame for c in self.clients}
+        self.finished: Set[str] = set()  # departed or fully served
+        self.admitted: Set[str] = set()
+        self.schedule: List[ScheduledFrame] = []
+        self.clock = 0
+        self.context_switches = 0
+        self.context_switch_cycles = 0
         # The tenant whose fresh-frame wavefronts ran last — switching
         # away from it while its frame is in flight is a context switch
         # (scan-out deliveries ride the bus and disturb no engine state).
-        engine_owner: Optional[str] = None
-        if rec is not None:
-            rec.emit(
+        self.engine_owner: Optional[str] = None
+        # The current decision's view, rebuilt by `candidates`.
+        self.ready: List[_Client] = []
+        self.pending: List[PendingFrame] = []
+        self.hits: List[bool] = []
+        self.blocked: List[bool] = []
+        self.overloaded = False
+        if self.rec is not None:
+            self.rec.emit(
                 EV_SERVE_START,
-                clock,
+                self.clock,
                 policy=policy.name,
-                clients=len(self._clients),
+                clients=len(self.clients),
                 quantum=policy.quantum if policy.preemptive else None,
                 preemptive=policy.preemptive,
-                shared_content=self.shared_content,
+                shared_content=server.shared_content,
             )
 
-        def unfinished() -> List[_Client]:
-            return [
-                c for c in self._clients
-                if c.id not in finished and next_frame[c.id] < ends[c.id]
-            ]
+    def step(self) -> bool:
+        """One event-loop iteration; ``False`` once every client is done."""
+        self.depart()
+        remaining = self.unfinished()
+        if not remaining:
+            return False
+        self.ready = [
+            c for c in remaining if c.request.arrival_cycle <= self.clock
+        ]
+        if not self.ready:
+            self.clock = min(c.request.arrival_cycle for c in remaining)
+            return True
+        self.admit()
+        if self.shed_cascade():
+            return True
+        self.candidates()
+        if self.shed_victim():
+            return True
+        chosen = self.pick(waiting=len(remaining) - len(self.ready))
+        client = self.ready[chosen]
+        item = self.items[client.id][self.next_frame[client.id]]
+        hit = self.hits[chosen]
+        if not item.started and (item.mode == WORK_REPLAY or hit):
+            self.scan_out(client, item, cross=hit and item.mode != WORK_REPLAY)
+            return True
+        self.switch(client)
+        if not item.started:
+            self.start(client, item)
+        self.run_quantum(client, item)
+        return True
 
-        def retire(client: _Client) -> None:
-            """Remove a finished/departed tenant from the elastic set.
+    def unfinished(self) -> List[_Client]:
+        # A client retires as its head reaches its window's end.
+        return [c for c in self.clients if c.id not in self.finished]
 
-            The released partition is kept on ``last_run_caches`` so a
-            cluster can export the tenant's temporal state for a
-            migration hand-off after this run completes.
-            """
-            nonlocal engine_owner
-            finished.add(client.id)
-            if client.id in partitions.tenants:
-                cache = partitions.release(client.id)
-                # Drop the telemetry hook with the run that owned it — a
-                # retired partition may outlive this serve() call (it is
-                # the migration export source).
-                cache.observer = None
-                self.last_run_caches[client.id] = cache
-            if engine_owner == client.id:
-                engine_owner = None
+    def depart(self) -> None:
+        """Departures first: a client gone by the clock receives nothing
+        from this point on."""
+        for c in self.unfinished():
+            dep = c.request.departure_cycle
+            if dep is not None and dep <= self.clock:
+                self.abort(c)
 
-        def complete_frame(client: _Client, item: FrameWorkItem,
-                           frame_report, cross: bool) -> None:
-            """Deliver a finished frame: schedule entry, latency, modes."""
-            k = item.frame
-            seq_id, pose_id = self._content_ids(client, k)
-            if item.budget_fraction is None and not item.reprojected:
-                # Degraded/reprojected frames never register their
-                # content: their pixels are not the full-quality frames a
-                # twin expects to scan out.
-                executed.add(seq_id)
-                if pose_id is not None:
-                    executed.add(pose_id)
-            schedule.append(
-                ScheduledFrame(
-                    client=client.id,
-                    frame=k,
-                    mode=item.mode,
-                    cross_replay=cross,
-                    start_cycle=item.start_cycle,
-                    cycles=item.service_cycles,
-                    completion_cycle=clock,
-                    preemptions=item.preemptions,
+    def admit(self) -> None:
+        """Mid-run admission: tenants joining at this clock get a
+        partition; everyone present re-splits the budget."""
+        rec = self.rec
+        for c in self.ready:
+            if c.id in self.admitted:
+                continue
+            cache = self.partitions.admit(c.id, seed=c.cache_seed)
+            self.admitted.add(c.id)
+            if rec is None:
+                continue
+            rec.emit(
+                EV_ADMISSION,
+                self.clock,
+                client=c.id,
+                tenants=len(self.partitions.tenants),
+                warm=c.cache_seed is not None,
+                frames=c.end - c.start_frame,
+            )
+            # Per-lookup temporal-cache telemetry, attributed to the
+            # tenant.  The hook reads the run's clock when it fires, so
+            # events carry the start of the quantum whose lookups they are.
+            cache.observer = lambda level, accesses, hits, _cid=c.id: (
+                rec.emit(
+                    EV_TEMPORAL_CACHE,
+                    self.clock,
+                    client=_cid,
+                    level=level,
+                    accesses=accesses,
+                    hits=hits,
                 )
             )
-            rep = reports[client.id]
-            rep.latencies_cycles.append(clock - client.request.arrival_cycle)
-            rep.service_cycles += item.service_cycles
-            rep.energy_joules += frame_report.energy_joules
-            if cross:
-                rep.cross_replays += 1
-            if item.mode == WORK_REPLAY:
-                rep.replays += 1
-            elif item.mode == WORK_PROBE:
-                rep.probes += 1
+
+    def shed_cascade(self) -> bool:
+        """Shed every head frame that replays a shed frame (there are no
+        rendered pixels to scan out) before it can enter the candidate
+        set; ``True`` when anything was shed."""
+        if self.slo is None or not self.slo.shed:
+            return False
+        cascaded = False
+        for c in self.ready:
+            while c.id not in self.finished:
+                k = self.next_frame[c.id]
+                src = c.trace.replays[k]
+                if src is None or src not in self.shed_sets[c.id]:
+                    break
+                self.shed(c, float(self.server._scanout_cycles(c.trace, k)))
+                cascaded = True
+        return cascaded
+
+    def candidates(self) -> None:
+        """Estimate one head frame per ready client, and the overload
+        signal: a deadlined head frame already past recoverable (raw
+        slack below zero).  A candidate is *blocked* while its content is
+        mid-flight on another tenant (the leader), so the leader's commit
+        can turn it into a replay; :attr:`SequenceServer.TWIN_DEFER_LIMIT`
+        bounds the wait, and a leader is never blocked.
+        """
+        server = self.server
+        self.pending, self.hits, self.blocked = [], [], []
+        for c in self.ready:
+            k = self.next_frame[c.id]
+            item = self.items[c.id][k]
+            hit = blocked = False
+            if item.started:
+                # Locked in as a fresh execution; estimate remaining.
+                est = self.cost_model.estimate(item.execution.remaining_points)
             else:
-                rep.reuses += 1
-            deadline = client.deadlines[k]
-            if deadline is not None and clock > deadline:
-                rep.deadline_misses += 1
-            if rec is not None:
-                rec.emit(
-                    EV_FRAME_COMPLETE,
-                    clock,
-                    client=client.id,
-                    frame=k,
-                    mode=item.mode,
-                    cross=cross,
-                    start=item.start_cycle,
-                    cycles=item.service_cycles,
-                    preemptions=item.preemptions,
-                    encoding_cycles=frame_report.encoding.cycles,
-                    mlp_cycles=frame_report.mlp.cycles,
-                    render_cycles=frame_report.render.cycles,
-                    bus_cycles=frame_report.bus_cycles,
-                    stall_cycles=frame_report.buffer_stall_cycles,
-                    energy_joules=frame_report.energy_joules,
-                    deadline_missed=(
-                        deadline is not None and clock > deadline
-                    ),
-                )
-            for cid_key in [
-                key
-                for key, owner in in_flight_content.items()
-                if owner == client.id
-            ]:
-                del in_flight_content[cid_key]
-            next_frame[client.id] = k + 1
-            if next_frame[client.id] == ends[client.id]:
-                retire(client)
-
-        def abort(client: _Client) -> None:
-            """Client departure: cancel undelivered frames, abandon the
-            in-flight execution (its partial cycles stay attributed to
-            the client — conservation), free the cache share."""
-            rep = reports[client.id]
-            head = next_frame[client.id]
-            pending_items = items[client.id][head : ends[client.id]]
-            rep.aborted_frames += len(pending_items)
-            if rec is not None:
-                rec.emit(
-                    EV_DEPARTURE,
-                    clock,
-                    client=client.id,
-                    aborted=len(pending_items),
-                    delivered=head - client.start_frame,
-                )
-            if pending_items and pending_items[0].in_flight:
-                item = pending_items[0]
-                if rec is not None:
-                    rec.emit(
-                        EV_FRAME_ABORT,
-                        clock,
-                        client=client.id,
-                        frame=item.frame,
-                        cycles=item.service_cycles,
-                        start=item.start_cycle,
+                ids = server._content_ids(c, k)
+                hit = not self.executed.isdisjoint(ids)
+                if item.mode == WORK_REPLAY or hit:
+                    est = float(server._scanout_cycles(c.trace, k))
+                else:
+                    est = self.cost_model.estimate(item.cost_hint)
+                    leaders = map(self.in_flight_content.get, ids)
+                    leader = next(filter(None, leaders), None)
+                    blocked = (
+                        leader not in (None, c.id)
+                        and self.defer_counts.get((c.id, k), 0)
+                        < server.TWIN_DEFER_LIMIT
                     )
-                partial = item.execution.abandon()
-                rep.service_cycles += item.service_cycles
-                rep.energy_joules += partial.energy_joules
-                schedule.append(
-                    ScheduledFrame(
-                        client=client.id,
-                        frame=item.frame,
-                        mode=item.mode,
-                        cross_replay=False,
-                        start_cycle=item.start_cycle,
-                        cycles=item.service_cycles,
-                        completion_cycle=clock,
-                        preemptions=item.preemptions,
-                        delivered=False,
-                    )
-                )
-            for cid_key in [
-                key
-                for key, owner in in_flight_content.items()
-                if owner == client.id
-            ]:
-                del in_flight_content[cid_key]
-            retire(client)
-
-        def shed_frame(client: _Client, est: float) -> None:
-            """Drop the client's head frame under overload: zero cycles,
-            an undelivered schedule row, and the frame counts against the
-            client's SLO attainment (never against conservation)."""
-            k = next_frame[client.id]
-            item = items[client.id][k]
-            rep = reports[client.id]
-            rep.shed_frames += 1
-            shed_sets[client.id].add(k)
-            schedule.append(
-                ScheduledFrame(
-                    client=client.id,
-                    frame=k,
-                    mode=item.mode,
-                    cross_replay=False,
-                    start_cycle=-1,
-                    cycles=0,
-                    completion_cycle=clock,
-                    preemptions=0,
-                    delivered=False,
-                )
-            )
-            if rec is not None:
-                rec.emit(
-                    EV_SHED,
-                    clock,
-                    client=client.id,
-                    frame=k,
-                    slo_class=client.request.slo_class,
+            self.hits.append(hit)
+            self.blocked.append(blocked)
+            self.pending.append(
+                PendingFrame(
+                    item=item,
+                    order=c.order,
+                    arrival_cycle=c.request.arrival_cycle,
+                    completed=k,
+                    total_frames=len(self.items[c.id]),
                     est_cycles=est,
-                )
-            next_frame[client.id] = k + 1
-            if next_frame[client.id] == ends[client.id]:
-                retire(client)
-
-        while True:
-            # 1. Departures first: a client gone by `clock` receives
-            #    nothing from this point on.
-            for c in list(unfinished()):
-                dep = c.request.departure_cycle
-                if dep is not None and dep <= clock:
-                    abort(c)
-            remaining = unfinished()
-            if not remaining:
-                break
-            ready = [
-                c for c in remaining if c.request.arrival_cycle <= clock
-            ]
-            if not ready:
-                clock = min(c.request.arrival_cycle for c in remaining)
-                continue
-            # 2. Mid-run admission: tenants joining at this clock get a
-            #    partition; everyone present re-splits the budget.
-            for c in ready:
-                if c.id not in admitted:
-                    partitions.admit(c.id, seed=c.cache_seed)
-                    admitted.add(c.id)
-                    if rec is not None:
-                        rec.emit(
-                            EV_ADMISSION,
-                            clock,
-                            client=c.id,
-                            tenants=len(partitions.tenants),
-                            warm=c.cache_seed is not None,
-                            frames=ends[c.id] - c.start_frame,
-                        )
-                        # Per-lookup temporal-cache telemetry, attributed
-                        # to the tenant.  The hook reads `clock` from this
-                        # scope at call time, so events carry the start of
-                        # the quantum whose lookups they are.
-                        partitions.cache_for(c.id).observer = (
-                            lambda level, accesses, hits, _cid=c.id: (
-                                rec.emit(
-                                    EV_TEMPORAL_CACHE,
-                                    clock,
-                                    client=_cid,
-                                    level=level,
-                                    accesses=accesses,
-                                    hits=hits,
-                                )
-                            )
-                        )
-
-            # 2b. Shed cascade: an in-sequence replay whose source frame
-            #     was shed has nothing to scan out — it is shed too,
-            #     before it can enter the candidate set.
-            if slo is not None and slo.shed:
-                cascaded = False
-                for c in ready:
-                    while (
-                        c.id not in finished
-                        and next_frame[c.id] < ends[c.id]
-                    ):
-                        k = next_frame[c.id]
-                        src = c.trace.replays[k]
-                        if src is None or src not in shed_sets[c.id]:
-                            break
-                        shed_frame(
-                            c, float(self._scanout_cycles(c.trace, k))
-                        )
-                        cascaded = True
-                if cascaded:
-                    continue
-
-            # 3. Build the candidate set (one head frame per ready client).
-            #    A candidate is *blocked* when its content is mid-flight
-            #    on another tenant (the leader): deferring it lets the
-            #    leader's scan-out commit turn it into a replay.  The
-            #    per-frame defer count bounds the wait (starvation
-            #    guard); the leader itself is always selectable, so the
-            #    loop cannot stall.
-            pending: List[PendingFrame] = []
-            hits: List[bool] = []
-            blocked: List[bool] = []
-            for c in ready:
-                k = next_frame[c.id]
-                item = items[c.id][k]
-                rep = reports[c.id]
-                blk = False
-                if item.started:
-                    # Locked in as a fresh execution; estimate remaining.
-                    hit = False
-                    est = cost_model.estimate(item.execution.remaining_points)
-                else:
-                    seq_id, pose_id = self._content_ids(c, k)
-                    hit = self.shared_content and (
-                        seq_id in executed
-                        or (pose_id is not None and pose_id in executed)
-                    )
-                    if item.mode == WORK_REPLAY or hit:
-                        est = float(self._scanout_cycles(c.trace, k))
-                    else:
-                        est = cost_model.estimate(item.cost_hint)
-                        if self.shared_content and self.twin_defer_limit > 0:
-                            leader = in_flight_content.get(seq_id)
-                            if leader is None and pose_id is not None:
-                                leader = in_flight_content.get(pose_id)
-                            blk = (
-                                leader is not None
-                                and leader != c.id
-                                and defer_counts.get((c.id, k), 0)
-                                < self.twin_defer_limit
-                            )
-                hits.append(hit)
-                blocked.append(blk)
-                pending.append(
-                    PendingFrame(
-                        item=item,
-                        order=c.order,
-                        arrival_cycle=c.request.arrival_cycle,
-                        completed=k,
-                        total_frames=len(items[c.id]),
-                        est_cycles=est,
-                        deadline_cycle=c.deadlines[k],
-                        started=item.started,
-                        client_service_cycles=(
-                            rep.service_cycles + item.service_cycles
-                        ),
-                        slo_class=c.request.slo_class,
-                    )
-                )
-
-            # 3b. Overload responses.  The signal is a deadlined head
-            #     frame already past recoverable: raw slack (deadline -
-            #     clock - estimated remaining cycles) below zero.  It
-            #     reuses the estimates just computed, so a server without
-            #     an active SLOConfig pays nothing here.
-            overloaded = (
-                slo is not None
-                and slo.active
-                and any(
-                    p.deadline_cycle is not None
-                    and p.deadline_cycle - clock - p.est_cycles < 0
-                    for p in pending
+                    deadline_cycle=c.deadlines[k],
+                    started=item.started,
+                    client_service_cycles=(
+                        self.reports[c.id].service_cycles
+                        + item.service_cycles
+                    ),
+                    slo_class=c.request.slo_class,
                 )
             )
-            if overloaded and slo.shed:
-                # Shed at most one batch-class victim per iteration (the
-                # priciest pending one — the biggest relief per drop),
-                # then re-evaluate: overload may already have cleared.
-                # Started, replay-mode, content-hit and twin-blocked
-                # frames are exempt — they are cheap or already paid for.
-                victims = [
-                    i
-                    for i in range(len(ready))
-                    if pending[i].slo_class in SLO_SHED_ORDER
-                    and not pending[i].started
-                    and pending[i].item.mode != WORK_REPLAY
-                    and not hits[i]
-                    and not blocked[i]
-                ]
-                if victims:
-                    victim = max(
-                        victims,
-                        key=lambda i: (pending[i].est_cycles, ready[i].id),
-                    )
-                    shed_frame(ready[victim], pending[victim].est_cycles)
-                    continue
-
-            selectable = (
-                [i for i, b in enumerate(blocked) if not b]
-                if any(blocked)
-                else None
+        self.overloaded = (
+            self.slo is not None
+            and self.slo.active
+            and any(
+                p.deadline_cycle is not None
+                and p.deadline_cycle - self.clock - p.est_cycles < 0
+                for p in self.pending
             )
-            if rec is not None:
-                rec.emit(
-                    EV_SCHED,
-                    clock,
-                    ready=len(ready),
-                    blocked=sum(blocked),
-                    waiting=len(remaining) - len(ready),
-                )
-            if selectable:
-                for i, b in enumerate(blocked):
-                    if b:
-                        twin = ready[i]
-                        tk = (twin.id, next_frame[twin.id])
-                        defer_counts[tk] = defer_counts.get(tk, 0) + 1
-                        reports[twin.id].twin_deferrals += 1
-                        if rec is not None:
-                            rec.emit(
-                                EV_TWIN_DEFER,
-                                clock,
-                                client=twin.id,
-                                frame=next_frame[twin.id],
-                                deferrals=defer_counts[tk],
-                            )
-                sub = [pending[i] for i in selectable]
-                rel = policy.select(sub, clock)
-                if not 0 <= rel < len(sub):
-                    raise ConfigurationError(
-                        f"policy {policy.name!r} selected invalid index {rel}"
-                    )
-                chosen = selectable[rel]
-            else:
-                # No blocking (or — defensively — everything blocked, in
-                # which case deferral is waived rather than stalling).
-                chosen = policy.select(pending, clock)
-                if not 0 <= chosen < len(pending):
-                    raise ConfigurationError(
-                        f"policy {policy.name!r} selected invalid index "
-                        f"{chosen}"
-                    )
-            client = ready[chosen]
-            k = next_frame[client.id]
-            item = items[client.id][k]
+        )
 
-            # 4a. Scan-out deliveries (in-sequence replays and cross-client
-            #     content hits) are atomic: one bus transfer, no engines.
-            if not item.started and (item.mode == WORK_REPLAY or hits[chosen]):
-                frame_report = self.accelerator.simulate_scanout(
-                    client.trace.frames[k]
-                )
-                item.start_cycle = clock
-                item.service_cycles = frame_report.total_cycles
-                clock += frame_report.total_cycles
-                if rec is not None:
-                    rec.emit(
-                        EV_SCANOUT,
-                        item.start_cycle,
-                        client=client.id,
-                        frame=k,
-                        cycles=frame_report.total_cycles,
-                        cross=hits[chosen] and item.mode != WORK_REPLAY,
-                    )
-                complete_frame(
-                    client, item, frame_report,
-                    cross=hits[chosen] and item.mode != WORK_REPLAY,
-                )
-                continue
+    def shed_victim(self) -> bool:
+        """While overloaded, shed the priciest pending batch-class frame —
+        the biggest relief per drop; the next step re-evaluates, and
+        overload may have cleared.  Started, replay-mode, content-hit and
+        twin-blocked frames are exempt — they are cheap or already paid
+        for.  ``True`` when a frame was shed."""
+        if not (self.overloaded and self.slo.shed):
+            return False
+        victims = [
+            i
+            for i, p in enumerate(self.pending)
+            if p.slo_class in SLO_SHED_ORDER
+            and not p.started
+            and p.item.mode != WORK_REPLAY
+            and not self.hits[i]
+            and not self.blocked[i]
+        ]
+        if not victims:
+            return False
+        victim = max(
+            victims,
+            key=lambda i: (self.pending[i].est_cycles, self.ready[i].id),
+        )
+        self.shed(self.ready[victim], self.pending[victim].est_cycles)
+        return True
 
-            # 4b. Fresh execution: start or resume the frame's cursor.
-            # Switch overhead is charged before the frame's start cycle
-            # is stamped, so `completion - start` exceeds `cycles` by
-            # exactly the time the frame itself sat suspended.
-            if engine_owner is not None and engine_owner != client.id:
-                # The previous tenant's frame is still in flight: its
-                # engine state is set aside — a context switch, charged
-                # separately from anyone's service cycles.
-                owner_items = items[engine_owner]
-                owner_head = next_frame[engine_owner]
-                if (
-                    engine_owner not in finished
-                    and owner_head < len(owner_items)
-                    and owner_items[owner_head].in_flight
-                ):
-                    owner_items[owner_head].preemptions += 1
-                    reports[engine_owner].preemptions += 1
-                    context_switches += 1
-                    if rec is not None:
-                        rec.emit(
-                            EV_PREEMPTION,
-                            clock,
-                            preempted=engine_owner,
-                            by=client.id,
-                            overhead=self.context_switch_cycles,
-                        )
-                    clock += self.context_switch_cycles
-                    context_switch_cycles += self.context_switch_cycles
-            engine_owner = client.id
-            if not item.started:
-                # Degraded-quality mode: while overloaded, a non-keyframe
-                # (plan-reuse) frame starting now prefers *temporal
-                # reprojection* — warping its converged rays from the
-                # previous delivered frame at scan-out cost — and falls
-                # back to a budget-capped copy of its trace when no skip
-                # mask is armed.  Both PSNR guards are honoured
-                # conservatively — when a floor is configured, only
-                # frames with a known measured PSNR at or above it
-                # degrade; unknown quality serves at full budget.
-                degrade_fraction = None
-                reproject_mask = None
-                psnr = None
-                if overloaded and slo.degrade and item.mode == WORK_REUSE:
-                    guard = slo.degrade_min_psnr
-                    if slo.reproject_masks is not None:
-                        mask = slo.reproject_masks.get((client.id, k))
-                        if mask is not None:
-                            psnr = (
-                                slo.reproject_psnr.get((client.id, k))
-                                if slo.reproject_psnr is not None
-                                else None
-                            )
-                            if guard is None or (
-                                psnr is not None and psnr >= guard
-                            ):
-                                reproject_mask = mask
-                            else:
-                                psnr = None
-                    if reproject_mask is None:
-                        psnr = (
-                            slo.degrade_psnr.get((client.id, k))
-                            if slo.degrade_psnr is not None
-                            else None
-                        )
-                        if guard is None or (
-                            psnr is not None and psnr >= guard
-                        ):
-                            degrade_fraction = slo.degrade_fraction
-                scoped = (
-                    None
-                    if rec is None
-                    else ScopedRecorder(rec, client=client.id, frame=k)
-                )
-                # A thinned frame commits a different working set than the
-                # full frame k, so its commit tag names the thinned content:
-                # hit masks and plans keyed by the resident token must not
-                # mistake one resident set for the other.
-                if reproject_mask is not None:
-                    item.reprojected = True
-                    thinned = self._reprojected_trace(client, k, reproject_mask)
-                    item.execution = self.accelerator.trace_execution(
-                        thinned,
-                        group_size=self.group_size,
-                        temporal=partitions.cache_for(client.id),
-                        commit_tag=(k, thinned.content_digest()),
-                        recorder=scoped,
-                    )
-                    reports[client.id].degraded.append(
-                        {
-                            "frame": k,
-                            "mode": "reproject",
-                            "pixels": int(reproject_mask.sum()),
-                            "psnr": psnr,
-                        }
-                    )
-                    if rec is not None:
-                        rec.emit(
-                            EV_REPROJECT,
-                            clock,
-                            client=client.id,
-                            frame=k,
-                            pixels=int(reproject_mask.sum()),
-                            psnr=psnr,
-                        )
-                elif degrade_fraction is not None:
-                    item.budget_fraction = degrade_fraction
-                    thinned = self._degraded_trace(client, k, degrade_fraction)
-                    item.execution = self.accelerator.trace_execution(
-                        thinned,
-                        group_size=self.group_size,
-                        temporal=partitions.cache_for(client.id),
-                        commit_tag=(k, thinned.content_digest()),
-                        recorder=scoped,
-                    )
-                    reports[client.id].degraded.append(
-                        {
-                            "frame": k,
-                            "fraction": degrade_fraction,
-                            "psnr": psnr,
-                        }
-                    )
-                    if rec is not None:
-                        rec.emit(
-                            EV_DEGRADE,
-                            clock,
-                            client=client.id,
-                            frame=k,
-                            fraction=degrade_fraction,
-                            psnr=psnr,
-                        )
-                else:
-                    item.execution = self.accelerator.frame_execution(
-                        client.trace,
-                        k,
-                        group_size=self.group_size,
-                        temporal=partitions.cache_for(client.id),
-                        recorder=scoped,
-                    )
-                item.start_cycle = clock
-                if rec is not None and item.mode == WORK_PROBE:
-                    rec.emit(
-                        EV_KEYFRAME_PROBE,
-                        clock,
-                        client=client.id,
-                        frame=k,
-                        points=item.cost_hint,
-                    )
-                degraded_start = (
-                    degrade_fraction is not None or reproject_mask is not None
-                )
-                if self.shared_content and not degraded_start:
-                    # This tenant now leads its content: unstarted twins
-                    # defer until the commit in `complete_frame` (or this
-                    # client's abort) clears the claim.  A degraded or
-                    # reprojected frame never leads — its pixels are not
-                    # the full-quality content a twin would scan out.
-                    seq_id, pose_id = self._content_ids(client, k)
-                    in_flight_content.setdefault(seq_id, client.id)
-                    if pose_id is not None:
-                        in_flight_content.setdefault(pose_id, client.id)
-                if not degraded_start:
-                    self._prepare_plans(
-                        client, k, item, ready, hits, blocked, items,
-                        next_frame, partitions, rec=rec, clock=clock,
-                    )
-
-            points_before = item.execution.points_done
-            steps_before = item.execution.steps_done
-            quantum_start = clock
-            max_steps = None
-            if policy.preemptive:
-                max_steps = (
-                    tuner.quantum if tuner is not None else policy.quantum
-                )
-            charged = item.execution.run(max_steps=max_steps)
-            cost_model.observe(
-                charged, item.execution.points_done - points_before
-            )
-            item.service_cycles += charged
-            clock += charged
-            if rec is not None:
-                rec.emit(
-                    EV_QUANTUM,
-                    quantum_start,
-                    client=client.id,
-                    frame=k,
-                    cycles=charged,
-                    points=item.execution.points_done - points_before,
-                    mode=item.mode,
-                    done=item.execution.done,
-                )
-            if tuner is not None:
-                tuned = tuner.observe(
-                    charged, item.execution.steps_done - steps_before
-                )
-                if tuned and rec is not None:
-                    rec.emit(
-                        EV_QUANTUM_TUNE,
-                        clock,
-                        quantum=tuner.quantum,
-                        p95_step_cycles=tuner.p95_step_cycles,
-                        target_cycles=tuner.target_cycles,
-                    )
-            if item.execution.done:
-                frame_report = item.execution.finish()
-                complete_frame(client, item, frame_report, cross=False)
-            # else: suspended — the cursor (and its engines) wait on the
-            # work item for the policy's next decision.
-
+    def pick(self, waiting: int) -> int:
+        """The policy's choice among the ready head frames.  Blocked twins
+        are deferred — unless every candidate is blocked, in which case
+        deferral is waived rather than stalling."""
+        rec = self.rec
+        blocked = self.blocked
         if rec is not None:
             rec.emit(
-                EV_SERVE_END,
+                EV_SCHED,
+                self.clock,
+                ready=len(self.ready),
+                blocked=sum(blocked),
+                waiting=waiting,
+            )
+        selectable = [i for i, b in enumerate(blocked) if not b]
+        deferred = [c for c, b in zip(self.ready, blocked) if b]
+        for twin in deferred if selectable else ():
+            key = (twin.id, self.next_frame[twin.id])
+            self.defer_counts[key] = self.defer_counts.get(key, 0) + 1
+            self.reports[twin.id].twin_deferrals += 1
+            if rec is not None:
+                rec.emit(
+                    EV_TWIN_DEFER,
+                    self.clock,
+                    client=twin.id,
+                    frame=key[1],
+                    deferrals=self.defer_counts[key],
+                )
+        selectable = selectable or list(range(len(blocked)))
+        pending = [self.pending[i] for i in selectable]
+        rel = self.policy.select(pending, self.clock)
+        if not 0 <= rel < len(selectable):
+            raise ConfigurationError(
+                f"policy {self.policy.name!r} selected invalid index {rel}"
+            )
+        return selectable[rel]
+
+    def scan_out(
+        self, client: _Client, item: FrameWorkItem, cross: bool
+    ) -> None:
+        """Deliver the frame by scan-out (an in-sequence replay or a
+        cross-client content hit): atomic, one bus transfer, no engines."""
+        frame_report = self.server.accelerator.simulate_scanout(
+            client.trace.frames[item.frame]
+        )
+        item.start_cycle = self.clock
+        item.service_cycles = frame_report.total_cycles
+        self.clock += frame_report.total_cycles
+        if self.rec is not None:
+            self.rec.emit(
+                EV_SCANOUT,
+                item.start_cycle,
+                client=client.id,
+                frame=item.frame,
+                cycles=frame_report.total_cycles,
+                cross=cross,
+            )
+        self.complete(client, item, frame_report, cross=cross)
+
+    def switch(self, client: _Client) -> None:
+        """Hand the engines to ``client``; setting aside another tenant's
+        in-flight frame is a context switch, charged apart from service
+        cycles and before any start cycle is stamped."""
+        owner, self.engine_owner = self.engine_owner, client.id
+        if owner in (None, client.id):
+            return
+        suspended = self.items[owner][self.next_frame[owner]]
+        if not suspended.in_flight:
+            return
+        overhead = self.server.context_switch_cycles
+        suspended.preemptions += 1
+        self.reports[owner].preemptions += 1
+        self.context_switches += 1
+        if self.rec is not None:
+            self.rec.emit(
+                EV_PREEMPTION,
+                self.clock,
+                preempted=owner,
+                by=client.id,
+                overhead=overhead,
+            )
+        self.clock += overhead
+        self.context_switch_cycles += overhead
+
+    def start(self, client: _Client, item: FrameWorkItem) -> None:
+        """Open the frame's execution cursor — over its :meth:`thin`-ned
+        trace when overload degrades it — then claim its content and
+        prefetch plans for a full-quality start."""
+        server = self.server
+        k = item.frame
+        cache = self.partitions.cache_for(client.id)
+        scoped = (
+            None
+            if self.rec is None
+            else ScopedRecorder(self.rec, client=client.id, frame=k)
+        )
+        thinned = self.thin(client, item)
+        if thinned is None:
+            item.execution = server.accelerator.frame_execution(
+                client.trace,
+                k,
+                group_size=server.group_size,
+                temporal=cache,
+                recorder=scoped,
+            )
+        else:
+            # A thinned frame commits a different working set than the
+            # full frame k, so its commit tag names the thinned content:
+            # hit masks and plans keyed by the resident token must not
+            # mistake one resident set for the other.
+            item.thinned = True
+            item.execution = server.accelerator.trace_execution(
+                thinned,
+                group_size=server.group_size,
+                temporal=cache,
+                commit_tag=(k, thinned.content_digest()),
+                recorder=scoped,
+            )
+        item.start_cycle = self.clock
+        if self.rec is not None and item.mode == WORK_PROBE:
+            self.rec.emit(
+                EV_KEYFRAME_PROBE,
+                self.clock,
+                client=client.id,
+                frame=k,
+                points=item.cost_hint,
+            )
+        if item.thinned:
+            return
+        if server.shared_content:
+            # This tenant now leads its content: unstarted twins defer
+            # until the commit in `complete` (or this client's abort)
+            # clears the claim.  A thinned frame never leads — its pixels
+            # are not the full-quality content a twin would scan out.
+            for cid in server._content_ids(client, k):
+                self.in_flight_content.setdefault(cid, client.id)
+        self.prefetch_plans(client, item)
+
+    def thin(
+        self, client: _Client, item: FrameWorkItem
+    ) -> Optional[FrameTrace]:
+        """The degraded trace a starting frame runs, or ``None`` for full
+        quality.  While overloaded, a plan-reuse frame prefers *temporal
+        reprojection* (its converged rays warped from the previous
+        frame) and falls back to a budget-capped copy when no mask is
+        armed or the warp guard fails.  With a PSNR floor, only a known
+        measured PSNR at or above it degrades; unknown quality does not.
+        """
+        slo = self.slo
+        if not (self.overloaded and slo.degrade and item.mode == WORK_REUSE):
+            return None
+        key = (client.id, item.frame)
+        mask = (slo.reproject_masks or {}).get(key)
+        options = [] if mask is None else [(mask, slo.reproject_psnr)]
+        options.append((None, slo.degrade_psnr))
+        for mask, measured in options:
+            psnr = None if measured is None else measured.get(key)
+            floor = slo.degrade_min_psnr
+            if floor is None or (psnr is not None and psnr >= floor):
+                break
+        else:
+            return None
+        if mask is None:
+            kind, detail = EV_DEGRADE, {"fraction": slo.degrade_fraction}
+            entry = {"frame": item.frame}
+        else:
+            kind, detail = EV_REPROJECT, {"pixels": int(mask.sum())}
+            entry = {"frame": item.frame, "mode": "reproject"}
+        entry.update(detail, psnr=psnr)
+        self.reports[client.id].degraded.append(entry)
+        if self.rec is not None:
+            self.rec.emit(
+                kind, self.clock, client=client.id, frame=item.frame,
+                **detail, psnr=psnr,
+            )
+        return self.server._thinned_trace(
+            client.trace.frames[item.frame], mask, slo.degrade_fraction
+        )
+
+    def prefetch_plans(self, client: _Client, item: FrameWorkItem) -> None:
+        """The cross-tenant batching seam of the serving loop.
+
+        Called once per freshly started full-quality frame: attach the
+        execution's cached pricing plan when one is still valid for its
+        partition's resident content, and otherwise price it in **one
+        fused batch** together with every other ready client's unstarted
+        fresh head frame that lacks a valid plan.  Those head frames'
+        pricing is independent of how the policy will interleave the
+        quanta — each client's resident set was committed by its own
+        previous frame and only changes at frame boundaries or elastic
+        re-partitions (which invalidate the plan token) — so pre-pricing
+        them cannot disturb the schedule; the throwaway executions built
+        here are never started, keeping `item.started` (and therefore the
+        policy's view) untouched.
+        """
+        server = self.server
+        plan_cache = server._plan_cache
+        k = item.frame
+        cache = self.partitions.cache_for(client.id)
+        key = (client.trace.content_token(), k, cache.resident_token)
+        cached = plan_cache.get(key)
+        hit = cached is not None and item.execution.attach_plan(cached)
+        to_build = [] if hit else [(key, item.execution)]
+        if self.rec is not None:
+            self.rec.emit(
+                EV_PLAN_CACHE,
+                self.clock,
+                client=client.id,
+                frame=k,
+                outcome="hit" if hit else "miss",
+            )
+        queued = {key for key, _ in to_build}
+        for i, c in enumerate(self.ready):
+            kc = self.next_frame[c.id]
+            it = self.items[c.id][kc]
+            if (
+                c.id == client.id
+                or it.started
+                or it.mode == WORK_REPLAY
+                or self.hits[i]
+                # Blocked twins are deferred expecting a scan-out
+                # delivery — pre-pricing them would waste the build.
+                or self.blocked[i]
+            ):
+                continue
+            cache = self.partitions.cache_for(c.id)
+            key = (c.trace.content_token(), kc, cache.resident_token)
+            if key in plan_cache or key in queued:
+                continue
+            ex = server.accelerator.frame_execution(
+                c.trace, kc, group_size=server.group_size, temporal=cache
+            )
+            to_build.append((key, ex))
+            queued.add(key)
+        if to_build:
+            plans = build_frame_plans([ex for _, ex in to_build])
+            for (key, _), plan in zip(to_build, plans):
+                plan_cache.put(key, plan)
+
+    def run_quantum(self, client: _Client, item: FrameWorkItem) -> None:
+        """Run the started frame for one quantum (to completion under a
+        non-preemptive policy), advancing the clock by exactly the cycles
+        charged; an unfinished frame's cursor (and its engines) wait on
+        the work item for the policy's next decision."""
+        ex, tuner, rec = item.execution, self.tuner, self.rec
+        points_before, steps_before = ex.points_done, ex.steps_done
+        quantum_start = self.clock
+        max_steps = None
+        if self.policy.preemptive:
+            max_steps = self.policy.quantum if tuner is None else tuner.quantum
+        charged = ex.run(max_steps=max_steps)
+        points = ex.points_done - points_before
+        self.cost_model.observe(charged, points)
+        item.service_cycles += charged
+        self.clock += charged
+        if rec is not None:
+            rec.emit(
+                EV_QUANTUM,
+                quantum_start,
+                client=client.id,
+                frame=item.frame,
+                cycles=charged,
+                points=points,
+                mode=item.mode,
+                done=ex.done,
+            )
+        if (
+            tuner is not None
+            and tuner.observe(charged, ex.steps_done - steps_before)
+            and rec is not None
+        ):
+            rec.emit(
+                EV_QUANTUM_TUNE,
+                self.clock,
+                quantum=tuner.quantum,
+                p95_step_cycles=tuner.p95_step_cycles,
+                target_cycles=tuner.target_cycles,
+            )
+        if ex.done:
+            self.complete(client, item, ex.finish(), cross=False)
+
+    def complete(
+        self, client: _Client, item: FrameWorkItem, frame_report, cross: bool
+    ) -> None:
+        """Deliver a finished frame: schedule row, latency, modes."""
+        k = item.frame
+        clock = self.clock
+        if self.server.shared_content and not item.thinned:
+            # Thinned frames never register their content: their pixels
+            # are not the full-quality frames a twin expects to scan out.
+            # With sharing off nothing registers, so nothing is a hit.
+            self.executed.update(self.server._content_ids(client, k))
+        self.row(client, item, frame_report, delivered=True, cross=cross)
+        rep = self.reports[client.id]
+        rep.latencies_cycles.append(clock - client.request.arrival_cycle)
+        if cross:
+            rep.cross_replays += 1
+        if item.mode == WORK_REPLAY:
+            rep.replays += 1
+        elif item.mode == WORK_PROBE:
+            rep.probes += 1
+        else:
+            rep.reuses += 1
+        deadline = client.deadlines[k]
+        missed = deadline is not None and clock > deadline
+        if missed:
+            rep.deadline_misses += 1
+        if self.rec is not None:
+            self.rec.emit(
+                EV_FRAME_COMPLETE,
                 clock,
+                client=client.id,
+                frame=k,
+                mode=item.mode,
+                cross=cross,
+                start=item.start_cycle,
+                cycles=item.service_cycles,
+                preemptions=item.preemptions,
+                encoding_cycles=frame_report.encoding.cycles,
+                mlp_cycles=frame_report.mlp.cycles,
+                render_cycles=frame_report.render.cycles,
+                bus_cycles=frame_report.bus_cycles,
+                stall_cycles=frame_report.buffer_stall_cycles,
+                energy_joules=frame_report.energy_joules,
+                deadline_missed=missed,
+            )
+        self.release_claims(client.id)
+        self.advance(client)
+
+    def abort(self, client: _Client) -> None:
+        """Client departure: cancel undelivered frames, abandon the
+        in-flight execution (its partial cycles stay attributed to the
+        client — conservation), free the cache share."""
+        head = self.next_frame[client.id]
+        item = self.items[client.id][head]
+        self.reports[client.id].aborted_frames += client.end - head
+        rec = self.rec
+        if rec is not None:
+            rec.emit(
+                EV_DEPARTURE,
+                self.clock,
+                client=client.id,
+                aborted=client.end - head,
+                delivered=head - client.start_frame,
+            )
+        if item.in_flight:
+            if rec is not None:
+                rec.emit(
+                    EV_FRAME_ABORT,
+                    self.clock,
+                    client=client.id,
+                    frame=item.frame,
+                    cycles=item.service_cycles,
+                    start=item.start_cycle,
+                )
+            self.row(client, item, item.execution.abandon(), delivered=False)
+        self.release_claims(client.id)
+        self.retire(client)
+
+    def shed(self, client: _Client, est: float) -> None:
+        """Drop the client's head frame under overload: zero cycles, an
+        undelivered schedule row, and the frame counts against the
+        client's SLO attainment (never against conservation)."""
+        k = self.next_frame[client.id]
+        self.reports[client.id].shed_frames += 1
+        self.shed_sets[client.id].add(k)
+        # A shed frame never started: its row reads start -1, 0 cycles.
+        self.row(client, self.items[client.id][k], None, delivered=False)
+        if self.rec is not None:
+            self.rec.emit(
+                EV_SHED,
+                self.clock,
+                client=client.id,
+                frame=k,
+                slo_class=client.request.slo_class,
+                est_cycles=est,
+            )
+        self.advance(client)
+
+    def row(
+        self,
+        client: _Client,
+        item: FrameWorkItem,
+        frame_report,
+        delivered: bool,
+        cross: bool = False,
+    ) -> None:
+        """Book a frame leaving the run — delivered, aborted or shed
+        (``frame_report`` ``None``): its schedule row, completed at the
+        clock, and its cycles and energy on the client's report."""
+        rep = self.reports[client.id]
+        rep.service_cycles += item.service_cycles
+        if frame_report is not None:
+            rep.energy_joules += frame_report.energy_joules
+        self.schedule.append(
+            ScheduledFrame(
+                client=client.id,
+                frame=item.frame,
+                mode=item.mode,
+                cross_replay=cross,
+                start_cycle=item.start_cycle,
+                cycles=item.service_cycles,
+                completion_cycle=self.clock,
+                preemptions=item.preemptions,
+                delivered=delivered,
+            )
+        )
+
+    def release_claims(self, client_id: str) -> None:
+        """Drop the content leads a client holds, so deferred twins fall
+        back to scan-out (after a commit) or their own execution."""
+        self.in_flight_content = {
+            cid: owner
+            for cid, owner in self.in_flight_content.items()
+            if owner != client_id
+        }
+
+    def advance(self, client: _Client) -> None:
+        """Move past the head frame; a client out of frames retires."""
+        self.next_frame[client.id] += 1
+        if self.next_frame[client.id] == client.end:
+            self.retire(client)
+
+    def retire(self, client: _Client) -> None:
+        """Remove a finished/departed tenant from the elastic set.
+
+        The released partition is kept on ``last_run_caches`` so a
+        cluster can export the tenant's temporal state for a migration
+        hand-off after this run completes.
+        """
+        self.finished.add(client.id)
+        if client.id in self.partitions.tenants:
+            cache = self.partitions.release(client.id)
+            # Drop the telemetry hook with the run that owned it — a
+            # retired partition may outlive this serve() call (it is the
+            # migration export source).
+            cache.observer = None
+            self.server.last_run_caches[client.id] = cache
+        if self.engine_owner == client.id:
+            self.engine_owner = None
+
+    def report(self) -> ServeReport:
+        policy = self.policy
+        if self.rec is not None:
+            self.rec.emit(
+                EV_SERVE_END,
+                self.clock,
                 policy=policy.name,
-                makespan=clock,
-                context_switches=context_switches,
-                frames_delivered=sum(
-                    1 for s in schedule if s.delivered
-                ),
+                makespan=self.clock,
+                context_switches=self.context_switches,
+                frames_delivered=sum(1 for s in self.schedule if s.delivered),
             )
         return ServeReport(
             policy=policy.name,
-            clock_hz=self.accelerator.config.clock_hz,
-            clients=[reports[c.id] for c in self._clients],
-            schedule=schedule,
-            makespan_cycles=clock,
-            back_to_back_cycles=self.back_to_back_cycles(),
-            context_switches=context_switches,
-            context_switch_cycles=context_switch_cycles,
+            clock_hz=self.server.accelerator.config.clock_hz,
+            clients=[self.reports[c.id] for c in self.clients],
+            schedule=self.schedule,
+            makespan_cycles=self.clock,
+            back_to_back_cycles=self.server.back_to_back_cycles(),
+            context_switches=self.context_switches,
+            context_switch_cycles=self.context_switch_cycles,
             quantum=policy.quantum if policy.preemptive else None,
         )

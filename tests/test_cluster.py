@@ -244,6 +244,12 @@ class TestRouting:
             _request("b", short_path), synthetic_sequence(short_path)
         )
         assert cluster.placement_of("a") == cluster.placement_of("b")
+        # Routing and the shard scheduler share one pose content id, so
+        # the co-located keyframe really replays across the tenants.
+        for policy in ("round_robin", "fifo", "round_robin_preemptive"):
+            shard = cluster.serve(policy).shard(cluster.placement_of("b"))
+            first = [s for s in shard.schedule if s.client == "b"][0]
+            assert first.frame == 0 and first.cross_replay, policy
 
     def test_least_loaded_spreads_unrelated_clients(self):
         requests = [

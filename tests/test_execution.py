@@ -148,7 +148,7 @@ class TestSuspension:
         compare against uninterrupted runs of the same frames."""
         seq = _sequence(frames=2)
         solo = [
-            accelerator.simulate_sequence_frame(seq, k) for k in range(2)
+            accelerator.frame_execution(seq, k).finish() for k in range(2)
         ]
         cold = SequenceTrace.from_dict(seq.to_dict())
         a = accelerator.frame_execution(cold, 0)

@@ -124,9 +124,7 @@ def _abort_events(accelerator):
     paths = _distinct_paths(2)
     quit_seq = synthetic_sequence(paths[1], varied=True)
     first_cycles = (
-        SequenceServer(accelerator)
-        .accelerator.simulate_sequence_frame(quit_seq, 0)
-        .total_cycles
+        accelerator.frame_execution(quit_seq, 0).finish().total_cycles
     )
     rec = MemoryRecorder()
     server = SequenceServer(accelerator, shared_content=False, recorder=rec)

@@ -48,6 +48,7 @@ from repro.obs.events import (
     EV_DEGRADE,
     EV_QUANTUM_TUNE,
     EV_SHED,
+    EV_TWIN_DEFER,
 )
 from repro.obs.recorder import MemoryRecorder
 from repro.serving.report import jain_fairness
@@ -304,9 +305,9 @@ class TestServerInvariants:
             if k in (0, 2):
                 rep = accelerator.simulate_scanout(cold.frames[k])
             else:
-                rep = accelerator.simulate_sequence_frame(
+                rep = accelerator.frame_execution(
                     cold, k, temporal=cache
-                )
+                ).finish()
                 truth_cycles[k] = rep.total_cycles
             truth_energy += rep.energy_joules
         for k in (1, 3):
@@ -658,9 +659,7 @@ class TestPreemptiveServing:
         stay = _request("stay", paths[0])
         quit_seq = synthetic_sequence(paths[1], varied=True)
         first_cycles = (
-            SequenceServer(accelerator)
-            .accelerator.simulate_sequence_frame(quit_seq, 0)
-            .total_cycles
+            accelerator.frame_execution(quit_seq, 0).finish().total_cycles
         )
         quit_req = _request(
             "quit", paths[1], departure_cycle=max(2, first_cycles // 4)
@@ -1049,7 +1048,9 @@ class TestTwinDeferral:
         shared = camera_path("orbit", FRAMES, SIZE, SIZE, arc=0.3)
         return [_request("alpha", shared), _request("beta", shared)]
 
-    def test_deferral_avoids_duplicate_inflight_execution(self, accelerator):
+    def test_deferral_avoids_duplicate_inflight_execution(
+        self, accelerator, monkeypatch
+    ):
         """Under a preemptive policy a twin's frame used to start fresh
         while its leader was suspended mid-flight (the scan-out copy was
         not committed yet), executing popular content twice.  Deferring
@@ -1059,9 +1060,10 @@ class TestTwinDeferral:
         deferred = _server(accelerator, self._twins(), varied=True).serve(
             policy
         )
-        duplicated = _server(
-            accelerator, self._twins(), varied=True, twin_defer_limit=0
-        ).serve(policy)
+        monkeypatch.setattr(SequenceServer, "TWIN_DEFER_LIMIT", 0)
+        duplicated = _server(accelerator, self._twins(), varied=True).serve(
+            policy
+        )
         assert deferred.total_frames == duplicated.total_frames
         assert deferred.busy_cycles < duplicated.busy_cycles
         follower = deferred.client("beta")
@@ -1070,23 +1072,35 @@ class TestTwinDeferral:
             s.cross_replay for s in deferred.schedule if s.client == "beta"
         )
 
-    def test_starvation_guard_terminates_at_limit_one(self, accelerator):
+    def test_starvation_guard_terminates_at_limit_one(
+        self, accelerator, monkeypatch
+    ):
+        monkeypatch.setattr(SequenceServer, "TWIN_DEFER_LIMIT", 1)
+        rec = MemoryRecorder()
         server = _server(
-            accelerator, self._twins(), varied=True, twin_defer_limit=1
+            accelerator, self._twins(), varied=True, recorder=rec
         )
         report = server.serve(make_policy("round_robin_preemptive", quantum=1))
         assert report.total_frames == 2 * FRAMES
+        # No frame waits behind its leader for more decisions than that.
+        deferrals = [
+            e.fields["deferrals"] for e in rec.events if e.kind == EV_TWIN_DEFER
+        ]
+        assert deferrals and max(deferrals) == 1
 
-    def test_atomic_frames_unaffected_by_deferral(self, accelerator):
+    def test_atomic_frames_unaffected_by_deferral(
+        self, accelerator, monkeypatch
+    ):
         """Non-preemptive frames complete atomically, so a leader is never
         suspended mid-flight and the deferral path must be inert."""
-        on = _server(accelerator, self._twins(), varied=True)
-        off = _server(
-            accelerator, self._twins(), varied=True, twin_defer_limit=0
-        )
-        assert on.serve("round_robin").to_dict() == off.serve(
+        on = _server(accelerator, self._twins(), varied=True).serve(
             "round_robin"
-        ).to_dict()
+        )
+        monkeypatch.setattr(SequenceServer, "TWIN_DEFER_LIMIT", 0)
+        off = _server(accelerator, self._twins(), varied=True).serve(
+            "round_robin"
+        )
+        assert on.to_dict() == off.to_dict()
 
     def test_leader_departure_releases_deferred_twin(self, accelerator):
         """Regression: the leader departs mid-flight while its twin is
@@ -1096,10 +1110,10 @@ class TestTwinDeferral:
         interleaved cycles still conserve."""
         shared = camera_path("orbit", FRAMES, SIZE, SIZE, arc=0.3)
         probe_cycles = (
-            SequenceServer(accelerator)
-            .accelerator.simulate_sequence_frame(
+            accelerator.frame_execution(
                 synthetic_sequence(shared, varied=True), 0
             )
+            .finish()
             .total_cycles
         )
         leader = _request(
@@ -1117,10 +1131,6 @@ class TestTwinDeferral:
         assert report.busy_cycles == sum(
             c.service_cycles for c in report.clients
         )
-
-    def test_rejects_negative_limit(self, accelerator):
-        with pytest.raises(ConfigurationError):
-            SequenceServer(accelerator, twin_defer_limit=-1)
 
 
 # ----------------------------------------------------------------------

@@ -2,8 +2,10 @@
 
 Hypothesis draws whole serving scenarios — client counts, camera paths
 (including deliberate twins), SLO classes, arrival/departure windows,
-deadline cadences, policies, fixed and auto-tuned quanta, shard counts
-and overload-control configs — and asserts the invariants that every
+deadline cadences, policies, fixed and auto-tuned quanta, shard counts,
+overload-control configs (with a PSNR floor and reprojection masks whose
+guard PSNR sits above or below it), context-switch overhead and bounded
+temporal-cache budgets — and asserts the invariants that every
 hand-written scenario in :mod:`tests.test_serving` relies on:
 
 * **conservation** — interleaved busy cycles equal the sum of per-client
@@ -25,6 +27,7 @@ Example budgets come from the hypothesis profiles registered in
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -109,6 +112,23 @@ def serving_scenarios(draw):
             ]
         )
     )
+    if slo is not None and slo["degrade"]:
+        slo = dict(slo)
+        slo["min_psnr"] = draw(st.sampled_from([None, 30.0]))
+        slo["degrade_psnr"] = draw(st.sampled_from([None, 25.0, 35.0]))
+        # Reprojection masks on some (client, frame) pairs, each with a
+        # warp-guard PSNR above or below the floor, or none measured.
+        slo["reproject"] = draw(
+            st.lists(
+                st.tuples(
+                    st.integers(min_value=0, max_value=n_clients - 1),
+                    st.integers(min_value=1, max_value=FRAMES - 1),
+                    st.sampled_from([None, 25.0, 35.0]),
+                ),
+                max_size=6,
+                unique_by=lambda pair: pair[:2],
+            )
+        )
     return {
         "clients": clients,
         "policy": policy,
@@ -116,16 +136,42 @@ def serving_scenarios(draw):
         "slo": slo,
         "varied": draw(st.booleans()),
         "shards": draw(st.sampled_from([1, 1, 2])),
+        "context_switch_cycles": draw(st.sampled_from([0, 50])),
+        "temporal_capacity": draw(st.sampled_from([None, 300])),
     }
 
 
 def _slo_config(spec):
-    if spec["slo"] is None:
+    slo = spec["slo"]
+    if slo is None:
         return None
+    if not slo["degrade"]:
+        return SLOConfig(shed=slo["shed"], degrade_fraction=0.5)
+    mask = np.zeros(SIZE * SIZE, dtype=bool)
+    mask[::2] = True
+    masks = {(f"p{i}", k): mask for i, k, _ in slo["reproject"]}
+    guards = {
+        (f"p{i}", k): psnr
+        for i, k, psnr in slo["reproject"]
+        if psnr is not None
+    }
+    measured = slo["degrade_psnr"]
     return SLOConfig(
-        shed=spec["slo"]["shed"],
-        degrade=spec["slo"]["degrade"],
+        shed=slo["shed"],
+        degrade=True,
         degrade_fraction=0.5,
+        degrade_min_psnr=slo["min_psnr"],
+        degrade_psnr=(
+            None
+            if measured is None
+            else {
+                (c["name"], k): measured
+                for c in spec["clients"]
+                for k in range(FRAMES)
+            }
+        ),
+        reproject_masks=masks or None,
+        reproject_psnr=guards or None,
     )
 
 
@@ -137,14 +183,16 @@ def _policy(spec):
 
 def _serve(spec, recorder=None):
     """Build the drawn scenario from scratch and serve it once."""
+    knobs = dict(
+        slo=_slo_config(spec),
+        recorder=recorder,
+        context_switch_cycles=spec["context_switch_cycles"],
+        temporal_capacity=spec["temporal_capacity"],
+    )
     if spec["shards"] == 1:
-        server = SequenceServer(
-            ACCELERATOR, slo=_slo_config(spec), recorder=recorder
-        )
+        server = SequenceServer(ACCELERATOR, **knobs)
     else:
-        server = ClusterServer(
-            SHARD_ACCELERATORS, slo=_slo_config(spec), recorder=recorder
-        )
+        server = ClusterServer(SHARD_ACCELERATORS, **knobs)
     for c in spec["clients"]:
         path = camera_path("orbit", FRAMES, SIZE, SIZE, arc=c["arc"])
         request = ClientRequest(
