@@ -6,8 +6,9 @@ charging the engines.  That implicit path is retired — trace-less results
 are rejected — but the cost it paid is still reachable explicitly through
 ``simulate_pass``, which synthesises a fresh ``FrameTrace`` from a budget
 map on every call.  This benchmark pins the win of replaying the
-renderer's memoised trace (corner/gap caches warm) over that
-re-derivation, on the fig17 experiment path (one scene, server design).
+renderer's memoised trace (its derived streams kept in
+``FrameTrace.memo`` from the second request on) over that re-derivation,
+on the fig17 experiment path (one scene, server design).
 """
 
 from __future__ import annotations
@@ -49,7 +50,8 @@ def test_trace_reuse_faster_than_recompute(wb):
         # legacy path used to do inside simulate_render).
         return accelerator.simulate_pass(camera, result.sample_counts)
 
-    # Warm both paths (numpy, model caches, trace corner memo).
+    # Warm both paths (numpy, model caches); the trace memo keeps its
+    # streams from the second run on.
     traced(), recomputed()
     t_trace = _best_of(traced)
     t_legacy = _best_of(recomputed)

@@ -7,9 +7,10 @@ orbit segment, server design):
   temporal vertex cache) delivers a measurable amortised speedup in
   simulated cycles over simulating every frame independently, and both
   ASDR variants beat the fixed-budget baseline;
-* **wall clock** — warm sequence simulation (SequenceTrace memo caches
-  populated) beats re-simulating the same frames one by one from cold
-  traces, which pay corner/gap re-derivation every time.
+* **wall clock** — warm sequence simulation (every fresh frame's
+  ``FrameTrace.memo`` populated) beats re-simulating the same frames one
+  by one from cold traces, which re-derive their address streams and
+  register-cache hit masks every time.
 """
 
 from __future__ import annotations
@@ -77,9 +78,9 @@ def test_warm_sequence_simulation_beats_per_frame_resimulation(wb):
     def warm_sequence():
         return accelerator.simulate_sequence(seq, group_size=group)
 
-    warm_sequence()  # populate the sequence/frame memo caches
+    warm_sequence()  # the frame memos keep their streams from the second run on
 
-    # Cold per-frame traces pay ray-corner and gap derivation every round;
+    # Cold per-frame traces pay address and hit-mask derivation every round;
     # clones are prebuilt so (de)serialisation stays out of the timing.
     rounds = 3
     cold_rounds = [

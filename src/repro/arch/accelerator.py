@@ -41,7 +41,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.arch.bus import BusSpec, BusTraffic, bus_cycles
+from repro.arch.bus import BusTraffic, bus_cycles
 from repro.arch.config import ArchConfig
 from repro.arch.encoding_engine import EncodingReport
 from repro.arch.energy import AreaPowerModel
@@ -122,21 +122,6 @@ class SimReport:
             self.energy_by_component[key] = (
                 self.energy_by_component.get(key, 0.0) + value
             )
-
-
-class _SequenceMemoScope:
-    """Frame-scoped memo adapter: routes a frame's stream memoisation into
-    its :class:`~repro.exec.sequence.SequenceTrace` so derived arrays
-    (address gaps, temporal hit masks) live with the sequence that defines
-    them — the same FrameTrace simulated inside two different sequences
-    never shares temporal state."""
-
-    def __init__(self, sequence: SequenceTrace, frame: int) -> None:
-        self._sequence = sequence
-        self._frame = frame
-
-    def memo_hook(self, prefix: Tuple):
-        return self._sequence.memo_hook((self._frame,) + prefix)
 
 
 @dataclass
@@ -226,7 +211,6 @@ class ASDRAccelerator:
         difficulty_evals: Optional[int] = None,
         rendered_pixels: Optional[int] = None,
         temporal: Optional[TemporalVertexCache] = None,
-        memo_scope=None,
         wavefront_log: Optional[List[Tuple[Tuple, int]]] = None,
     ) -> SimReport:
         """Replay a :class:`FrameTrace` through the pipeline.
@@ -257,11 +241,6 @@ class ASDRAccelerator:
             temporal: Cross-frame vertex cache (sequence simulation);
                 vertex fetches hitting the previous frame's working set
                 bypass the memory crossbars.
-            memo_scope: Object providing ``memo_hook(prefix)`` for
-                stream-derived memoisation; defaults to ``trace``.  The
-                sequence simulator passes a frame-scoped hook on its
-                :class:`~repro.exec.sequence.SequenceTrace` so temporal
-                hit masks stay tied to the sequence that defines them.
             wavefront_log: When given, every cycle charge is appended as
                 ``(key, cycles)`` — one entry per wavefront slice plus the
                 Phase I adaptive-sampling tail — and ``total_cycles`` is
@@ -274,7 +253,6 @@ class ASDRAccelerator:
             difficulty_evals=difficulty_evals,
             rendered_pixels=rendered_pixels,
             temporal=temporal,
-            memo_scope=memo_scope,
             wavefront_log=wavefront_log,
         ).finish()
 
@@ -452,11 +430,13 @@ class ASDRAccelerator:
         """A resumable execution cursor over one sequence frame.
 
         Frames recorded as pose replays come back in scan-out mode (a
-        single step pricing the framebuffer read-out); fresh frames carry
-        the frame-scoped sequence memo and — when ``temporal`` is given —
-        commit the cache at :meth:`~repro.exec.execution.FrameExecution.
-        finish`, tagged with the frame index so memoised temporal hit
-        masks stay keyed to the resident set they were computed against.
+        single step pricing the framebuffer read-out); fresh frames
+        memoise derived streams on their own trace and — when
+        ``temporal`` is given — commit the cache at
+        :meth:`~repro.exec.execution.FrameExecution.finish`, tagged with
+        the frame index so the cache's resident token (which keys cached
+        plans) names the resident set their hit masks were computed
+        against.
         ``recorder`` (a :class:`~repro.obs.recorder.Recorder`) attaches
         observer-only telemetry; it never affects the cycles priced.
         """
@@ -473,7 +453,6 @@ class ASDRAccelerator:
             trace,
             group_size=group_size,
             temporal=temporal,
-            memo_scope=_SequenceMemoScope(sequence, frame),
             wavefront_log=wavefront_log,
             commit_tag=frame,
             recorder=recorder,

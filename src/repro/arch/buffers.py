@@ -15,7 +15,7 @@ drain in ``ceil(need / capacity)`` passes, each adding a refill latency.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict
 
 from repro.errors import ConfigurationError

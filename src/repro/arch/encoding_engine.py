@@ -8,21 +8,19 @@ Stages are pipelined, so a wavefront's cycle cost is the maximum of the
 stage costs; levels own independent banks and caches and proceed in
 parallel, contending only for address-generation bandwidth.
 
-:class:`EncodingEngine` holds one design's address generator, register
-caches and crossbar banks; :mod:`repro.exec.batch` prices every wavefront
-of a frame against them.
+:class:`EncodingEngine` holds one design's address generator,
+register-cache window and crossbar bank geometry; :mod:`repro.exec.batch`
+prices every wavefront of a frame against them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
 
 import numpy as np
 
 from repro.arch.config import ArchConfig
 from repro.cim.address import HybridAddressGenerator
-from repro.cim.cache import RegisterCache
 from repro.cim.memxbar import MemXbarBank
 from repro.nerf.hashgrid import HashGridConfig
 
@@ -74,24 +72,27 @@ class EncodingReport:
 
 class EncodingEngine:
     """One design's encoding-engine hardware: the hybrid address
-    generator, the per-level register caches and memory-crossbar banks."""
+    generator, the register-cache window and the memory-crossbar bank.
+
+    Attributes:
+        window: Register-cache window of every level (each level's
+            register file holds ``config.cache_entries`` entries).
+        bank: The crossbar bank that prices every level's misses.  Bank
+            outputs depend only on the crossbar rows and the memory
+            device, never on a level's entry count, so one bank stands
+            for all of them.
+    """
 
     def __init__(self, config: ArchConfig, grid: HashGridConfig) -> None:
         self.config = config
         self.grid = grid
         self.generator = HybridAddressGenerator(grid, mode=config.mapping_mode)
-        self.caches: Dict[int, RegisterCache] = {
-            level: RegisterCache(config.cache_entries)
-            for level in range(grid.num_levels)
-        }
-        self.banks: Dict[int, MemXbarBank] = {
-            level: MemXbarBank(
-                self.generator.level_storage_entries(level),
-                rows=config.crossbar.rows,
-                device=config.memory_device,
-            )
-            for level in range(grid.num_levels)
-        }
+        self.window = config.cache_entries
+        self.bank = MemXbarBank(
+            self.generator.level_storage_entries(0),
+            rows=config.crossbar.rows,
+            device=config.memory_device,
+        )
         # Identifies this engine's address mapping in trace memo keys: two
         # engines sharing grid + mode generate identical address streams.
         self._stream_key = (

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List
 
 from repro.arch.config import ArchConfig
 from repro.cim.crossbar import CIMCrossbarModel, CrossbarConfig

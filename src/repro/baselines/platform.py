@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from repro.errors import SimulationError
-
 
 @dataclass(frozen=True)
 class Workload:

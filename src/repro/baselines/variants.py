@@ -18,7 +18,7 @@ components are scaled by the device energy ratios.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Tuple
+from typing import Dict
 
 from repro.arch.accelerator import ASDRAccelerator, SimReport
 from repro.arch.config import ArchConfig

@@ -17,7 +17,7 @@ streams.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 import numpy as np
@@ -101,9 +101,10 @@ class TemporalVertexCache:
     addresses) while frame ``k``'s own addresses accumulate in a pending
     set; :meth:`commit_frame` swaps them at the frame boundary, recording
     the committer's ``tag`` as the resident set's identity.  The tag is
-    folded into the memoised hit-mask keys, so a mask computed against
-    one resident set is never served for another — two runs over one
-    trace share masks only where their commit histories coincide (the
+    folded into :attr:`resident_token`, which keys the pricing plans
+    built against the resident set, so a plan priced against one
+    resident set is never replayed against another — two runs over one
+    trace share plans only where their commit histories coincide (the
     warm-replay win), not where a serving schedule skipped a frame the
     alone run executed.
 
@@ -120,10 +121,10 @@ class TemporalVertexCache:
         self.capacity_per_level = capacity_per_level
         self._resident: Dict[int, np.ndarray] = {}
         self._resident_tag = None
-        # Identity of the resident *content*, folded into memoised hit-mask
-        # keys: the committing frame's tag and the bound it was trimmed to,
-        # extended by every later trim.  Two caches (or two runs over one
-        # shared trace memo) share a mask only when these histories — and
+        # Identity of the resident *content* (:attr:`resident_token`): the
+        # committing frame's tag and the bound it was trimmed to, extended
+        # by every later trim.  Two caches (or two serve() runs sharing one
+        # plan cache) share a plan only when these histories — and
         # therefore the resident sets — coincide; a mere per-instance
         # counter could not guarantee that across serve() runs.
         self._resident_key: tuple = ()
@@ -144,10 +145,10 @@ class TemporalVertexCache:
         resident set is always a prefix of what a larger bound would hold
         (losing capacity can only lose hits, never invent them); growing
         keeps resident sets untouched.  A resize that truncates resident
-        content extends the resident-content key, so memoised hit masks
-        computed against the pre-trim set are never served afterwards —
-        even if the same nominal capacity recurs, and even from another
-        cache instance sharing the trace memo.
+        content extends the resident token, so plans priced against the
+        pre-trim set are never replayed afterwards — even if the same
+        nominal capacity recurs, and even from another cache instance
+        sharing the plan cache.
         """
         if capacity_per_level is not None and capacity_per_level <= 0:
             raise ConfigurationError("capacity_per_level must be positive")
@@ -188,13 +189,13 @@ class TemporalVertexCache:
     def adopt(self, state: Dict) -> None:
         """Seed this cache from another cache's :meth:`export_state`.
 
-        The resident-content key travels with the arrays, so memoised hit
-        masks computed against the source's resident set (they live on
-        the shared sequence trace, not on the cache) stay valid on the
-        adopting side.  If this cache's bound is tighter than the
-        exported set, the keep-the-lowest-addresses trim applies and the
-        key is extended — exactly the :meth:`resize` semantics, so a
-        hand-off can lose hits but never invent them.
+        The resident token travels with the arrays, so plans priced
+        against the source's resident set (they live in the server's plan
+        cache, not on the cache) stay valid on the adopting side.  If
+        this cache's bound is tighter than the exported set, the
+        keep-the-lowest-addresses trim applies and the token is extended
+        — exactly the :meth:`resize` semantics, so a hand-off can lose
+        hits but never invent them.
         """
         self._resident = {
             level: np.asarray(resident)
@@ -214,44 +215,24 @@ class TemporalVertexCache:
 
     @property
     def resident_token(self) -> tuple:
-        """Identity of the resident *content* — the commit/trim history key
-        memoised hit masks are scoped by.  Two moments with equal tokens
-        (for one logical tenant and trace) hold equal resident sets, so a
-        batched pricing plan computed against one can be replayed against
-        the other; any commit or trimming resize changes the token, which
-        is how stale plans are detected (see
+        """Identity of the resident *content* — the commit/trim history
+        that cached pricing plans are keyed by.  Two moments with equal
+        tokens (for one logical tenant and trace) hold equal resident
+        sets, so a batched pricing plan computed against one can be
+        replayed against the other; any commit or trimming resize changes
+        the token, which is how stale plans are detected (see
         :func:`repro.exec.batch.build_frame_plans`)."""
         return self._resident_key
 
-    def lookup(
-        self, stream: np.ndarray, level: int, memo=None, stream_key=()
-    ) -> np.ndarray:
-        """Hit mask of ``stream`` against the previous frame's working set.
-
-        Args:
-            stream: Flat logical address stream of one wavefront.
-            memo: Optional ``(key, compute)`` hook (a sequence-trace memo
-                scoped to this frame and wavefront) so warm replays of one
-                sequence skip the membership test.
-            stream_key: Identity of the address mapping that produced
-                ``stream`` (and therefore the resident set) — must be part
-                of the memo key, or two engines with different mappings
-                simulating one sequence would share masks.
-        """
+    def lookup(self, stream: np.ndarray, level: int) -> np.ndarray:
+        """Hit mask of ``stream`` (a flat logical address stream) against
+        the previous frame's working set at ``level``."""
         stream = np.asarray(stream).reshape(-1)
         resident = self._resident.get(level)
         if resident is None or resident.size == 0:
             hits = np.zeros(len(stream), dtype=bool)
         else:
-            compute = lambda: np.isin(stream, resident)  # noqa: E731
-            if memo is not None:
-                hits = memo(
-                    ("temporal", level, self._resident_key)
-                    + tuple(stream_key),
-                    compute,
-                )
-            else:
-                hits = compute()
+            hits = np.isin(stream, resident)
         accesses = int(len(hits))
         hit_count = int(hits.sum())
         st = self.stats.setdefault(level, CacheStats())
@@ -288,8 +269,8 @@ class TemporalVertexCache:
         Args:
             tag: Hashable identity of the committed set (e.g. the frame
                 index that produced it); together with the bound the set
-                was trimmed to it becomes part of memoised hit-mask keys,
-                so masks are never reused across different resident sets.
+                was trimmed to it becomes :attr:`resident_token`, so
+                plans are never reused across different resident sets.
         """
         self._resident_tag = tag
         self._resident_key = (("commit", tag, self.capacity_per_level),)
@@ -325,27 +306,21 @@ class RegisterCache:
     """Per-level register cache with window-model replay.
 
     Args:
-        capacity: Cached entries per level's register file.  The paper's
-            design-space exploration (Figure 22) sweeps 2-16; 8 is the
-            chosen design point.  Comparator energy scales with capacity.
-        window_scale: Window length per capacity entry; the register file
-            holds ``capacity`` *unique* entries, which under the access-
-            distance approximation corresponds to a somewhat longer raw
-            window when streams repeat (default 1 = conservative).
+        capacity: Cached entries per level's register file, which is also
+            the access-distance window.  The paper's design-space
+            exploration (Figure 22) sweeps 2-16; 8 is the chosen design
+            point.  Comparator energy scales with capacity.
     """
 
-    def __init__(self, capacity: int = 8, window_scale: float = 1.0) -> None:
+    def __init__(self, capacity: int = 8) -> None:
         if capacity < 0:
             raise ConfigurationError("capacity must be >= 0")
-        if window_scale <= 0:
-            raise ConfigurationError("window_scale must be > 0")
         self.capacity = capacity
-        self.window_scale = window_scale
         self.stats: Dict[int, CacheStats] = {}
 
     @property
     def window(self) -> int:
-        return int(round(self.capacity * self.window_scale))
+        return self.capacity
 
     def replay(self, stream: np.ndarray, level: int = 0) -> np.ndarray:
         """Replay a flat address stream; returns the hit mask and logs

@@ -12,7 +12,7 @@ energy per input vector, which the MLP engine aggregates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.cim.reram import RERAM, DeviceParams
 from repro.errors import ConfigurationError

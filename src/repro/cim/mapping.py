@@ -13,7 +13,7 @@ from typing import List
 
 import numpy as np
 
-from repro.cim.address import HybridAddressGenerator, dense_slot_size
+from repro.cim.address import HybridAddressGenerator
 from repro.nerf.hashgrid import HashGridConfig, hash_coords
 
 

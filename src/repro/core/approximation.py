@@ -9,8 +9,6 @@ exactly — only the (dominant) color MLP cost shrinks, by roughly ``1/n``.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
 

@@ -11,7 +11,7 @@ and the pixel's budget is the smallest candidate with ``rd_i <= delta``.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 

@@ -63,7 +63,7 @@ from repro.exec.sequence import SequenceRender, render_camera_path
 from repro.metrics.image import psnr
 from repro.nerf.rays import sample_along_rays
 from repro.nerf.renderer import PhaseCounts
-from repro.nerf.volume import composite, composite_prefix, early_termination_counts
+from repro.nerf.volume import composite, early_termination_counts
 from repro.scenes.cameras import Camera
 
 

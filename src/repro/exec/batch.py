@@ -69,7 +69,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cim.cache import previous_occurrence_gaps
 from repro.errors import SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -148,7 +147,7 @@ def build_frame_plans(
 
 
 # ----------------------------------------------------------------------
-# Pass 1: encoding streams (addresses, gaps, cache + temporal hits)
+# Pass 1: encoding streams (addresses, cache + temporal hits)
 # ----------------------------------------------------------------------
 @dataclass
 class _ExecutionPricing:
@@ -170,9 +169,12 @@ class _ExecutionPricing:
 def _price_encoding(ex: "FrameExecution") -> _ExecutionPricing:
     """Stream pass: one fused call per resolution level over the whole
     frame — logical/striped addresses (built from the frame's voxel
-    bases), register-cache hits (composite-keyed gaps), temporal hits and
-    working sets, miss issue groups and per-slice hit counts.
-    Frame-level arrays memoise on the trace."""
+    bases), register-cache hits (composite-keyed window comparisons),
+    temporal hits and working sets, miss issue groups and per-slice hit
+    counts.  Frame-level arrays memoise on the trace
+    (:meth:`~repro.exec.frame_trace.FrameTrace.memo`), keyed by the
+    slicing and the engine's address mapping; temporal hits depend on
+    the cache's resident set and are recomputed on every build."""
     if ex._scanout:
         raise SimulationError("scan-out executions have no wavefront plan")
     out = _ExecutionPricing()
@@ -183,8 +185,6 @@ def _price_encoding(ex: "FrameExecution") -> _ExecutionPricing:
     gen = engine.generator
     config = ex.accelerator.config
     num_levels = ex.accelerator.grid.num_levels
-    sk = engine.stream_key
-    uint16_max = int(np.iinfo(np.uint16).max)
 
     slices = ex._slices
     out.sizes = sizes = np.array([sl.num_points for sl in slices], dtype=np.int64)
@@ -194,45 +194,30 @@ def _price_encoding(ex: "FrameExecution") -> _ExecutionPricing:
     # Segment starts of each slice in the flat 8-wide address stream
     # (`np.add.reduceat` on bools is `or`, so counts widen to int64 first).
     starts = np.concatenate([[0], np.cumsum(sizes * 8)[:-1]])
-    hook = ex._memo_scope.memo_hook(("fplan", config.wavefront_rays))
+    memo = ex.trace.memo
+    scope = ("fplan", config.wavefront_rays) + engine.stream_key
+    window = engine.window
     request_ids: Optional[np.ndarray] = None
 
     for level in range(num_levels):
         base = ex._corner_bases[level]
         compact = engine.compact_dtype(level)
-        logical = hook(
-            ("addr", level) + sk,
+        logical = memo(
+            scope + ("addr", level),
             lambda: gen.addresses(base, level, None).astype(compact),
         )
         stream = logical.reshape(-1)
-        window = engine.caches[level].window
-        if window <= 0:
-            hits = np.zeros(stream.size, dtype=bool)
-        elif window <= _SHIFT_WINDOW_MAX:
-            # Small windows (every swept design point): `window` shifted
-            # equality passes beat the sort previous-occurrence gaps
-            # need, and yield the hit mask directly.
-            hits = hook(
-                ("whits", level, window) + sk,
-                lambda: _window_hits(stream, sizes, window),
-            )
-        elif window < uint16_max:
-            gaps = hook(
-                ("gaps", level) + sk,
-                lambda: np.minimum(
-                    _composite_gaps(stream, sizes), uint16_max
-                ).astype(np.uint16),
-            )
-            hits = gaps <= window
-        else:  # pragma: no cover - no swept design reaches this
-            hits = _composite_gaps(stream, sizes) <= window
+        hits = memo(
+            scope + ("whits", level, window),
+            lambda: _window_hits(stream, sizes, window),
+        )
         served = hits
         if temporal is not None:
-            t_full = temporal.lookup(stream, level, memo=hook, stream_key=sk)
+            t_full = temporal.lookup(stream, level)
             t_hits = t_full & ~hits
             served = hits | t_full
-            unique_stream = hook(
-                ("uniq", level) + sk, lambda: _working_set(stream)
+            unique_stream = memo(
+                scope + ("uniq", level), lambda: _working_set(stream)
             )
             out.records.append((level, unique_stream))
             out.temporal_hits[level] = np.add.reduceat(
@@ -245,8 +230,8 @@ def _price_encoding(ex: "FrameExecution") -> _ExecutionPricing:
             # so a request's id equals its global point index in the frame.
             if request_ids is None:
                 request_ids = np.arange(total, dtype=np.int64)
-            physical = hook(
-                ("addr_striped", level) + sk,
+            physical = memo(
+                scope + ("addr_striped", level),
                 lambda: gen.addresses(base, level, request_ids).astype(compact),
             )
         else:
@@ -267,12 +252,6 @@ def _working_set(stream: np.ndarray) -> np.ndarray:
     return np.flatnonzero(seen).astype(stream.dtype)
 
 
-#: Largest register-cache window priced by shifted comparisons instead of
-#: sort-based gaps (cost scales with the window, so huge windows fall
-#: back to the gap array).
-_SHIFT_WINDOW_MAX = 64
-
-
 def _composite_keys(stream: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """Slice-disjoint keys: each slice's addresses offset into their own
     range, so equal keys mean "same address, same slice"."""
@@ -289,31 +268,20 @@ def _window_hits(
     An access hits iff its address recurs within the previous ``window``
     accesses of its own slice — i.e. iff any of the ``window`` shifted
     composite-key comparisons matches.  Identical to
-    ``previous_occurrence_gaps(...) <= window`` per slice (a previous
-    occurrence at distance ``d0 <= window`` matches shift ``d0``; a match
-    at shift ``d`` means the nearest occurrence is at most ``d`` away).
+    :func:`~repro.cim.cache.window_hits` per slice (a previous occurrence
+    at distance ``d0 <= window`` matches shift ``d0``; a match at shift
+    ``d`` means the nearest occurrence is at most ``d`` away).  Every
+    swept design has a small window (0–16 entries), where ``window``
+    shifted passes beat the sort that access-distance gaps need; a zero
+    window never hits.
     """
-    if stream.size == 0:
-        return np.zeros(0, dtype=bool)
+    if stream.size == 0 or window <= 0:
+        return np.zeros(stream.size, dtype=bool)
     keys = _composite_keys(stream, sizes)
     hits = np.zeros(keys.size, dtype=bool)
     for d in range(1, min(window, keys.size - 1) + 1):
         np.logical_or(hits[d:], keys[d:] == keys[:-d], out=hits[d:])
     return hits
-
-
-def _composite_gaps(stream: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Per-slice access-distance gaps from one fused call.
-
-    Offsetting each slice's addresses into a disjoint key range keeps
-    within-slice index distances exact (the chunks stay contiguous) while
-    making a repeat across a slice boundary look like a first occurrence —
-    exactly the per-slice :func:`~repro.cim.cache.previous_occurrence_gaps`
-    results, concatenated.
-    """
-    if stream.size == 0:
-        return previous_occurrence_gaps(stream)
-    return previous_occurrence_gaps(_composite_keys(stream, sizes))
 
 
 # ----------------------------------------------------------------------
@@ -365,7 +333,7 @@ def _fused_bank_pass(
             continue
         config = ex.accelerator.config
         key = (config.crossbar.rows, id(config.memory_device))
-        bank = ex._encoding_engine.banks[0]
+        bank = ex._encoding_engine.bank
         entry = geometries.setdefault(key, {"bank": bank, "blocks": []})
         for level, misses in pricing.miss_blocks:
             entry["blocks"].append((ei, level, pricing.sizes, misses))

@@ -139,7 +139,6 @@ class FrameExecution:
         difficulty_evals: Optional[int] = None,
         rendered_pixels: Optional[int] = None,
         temporal=None,
-        memo_scope=None,
         wavefront_log: Optional[List[Tuple[Tuple, int]]] = None,
         scanout: bool = False,
         commit_tag=_NO_COMMIT,
@@ -183,7 +182,6 @@ class FrameExecution:
             return
 
         config = accelerator.config
-        self._memo_scope = trace if memo_scope is None else memo_scope
         self._encoding_engine = EncodingEngine(config, accelerator.grid)
         self._resolutions = [int(r) for r in accelerator.grid.level_resolutions]
         self._evals = (
@@ -401,10 +399,11 @@ class FrameExecution:
             and self._temporal is not None
             and self._commit_tag is not _NO_COMMIT
         ):
-            # Tag the committed working set with its frame so memoised
-            # temporal hit masks are keyed by which resident set they were
-            # computed against — a serving schedule that skips a frame the
-            # alone run executed must not inherit the alone run's masks.
+            # Tag the committed working set with its frame: the tag enters
+            # the cache's resident token, which keys cached plans by the
+            # resident set their hit masks were computed against — a
+            # serving schedule that skips a frame the alone run executed
+            # must not inherit the alone run's plans.
             self._temporal.commit_frame(tag=self._commit_tag)
         if self._recorder is not None:
             self._recorder.emit(

@@ -17,11 +17,11 @@ Downstream consumers replay the trace instead of re-deriving the frame:
   :func:`repro.arch.trace.hash_address_trace`) read sample positions
   straight from the trace.
 
-Voxel-corner generation is memoised per wavefront and grid resolution (the
-integer base coordinate is stored compactly; the eight corner offsets are
-re-broadcast on demand), so repeated simulations of one render — the
-fig17/fig18/fig19 experiment trio simulates the same frame three times —
-pay for corner derivation once.
+A trace is also the one store for pricing's derived streams
+(:meth:`FrameTrace.memo`): address streams, register-cache hit masks and
+per-level working sets are kept on a trace's second request, so repeated
+simulations of one render — the fig17/fig18/fig19 experiment trio
+simulates the same frame three times — derive them once.
 """
 
 from __future__ import annotations
@@ -42,12 +42,9 @@ from repro.nerf.rays import sample_along_rays
 PHASE_PROBE = "probe"
 PHASE_MAIN = "main"
 
-#: Per-trace ceiling on memoised voxel-base values (3 ints per point per
-#: resolution).  Keeps a long-lived workbench full of memoised traces from
-#: hoarding memory; beyond the cap corners are derived on the fly.
-CORNER_CACHE_MAX_VALUES = 2**22
-
 #: Per-trace ceiling on stream-derived memo values (:meth:`FrameTrace.memo`).
+#: Keeps a long-lived workbench full of memoised traces from hoarding
+#: memory; a value past the cap is recomputed on every request.
 MEMO_CACHE_MAX_VALUES = 2**24
 
 
@@ -236,10 +233,6 @@ class FrameTrace:
     difficulty_evals: int = 0
     wavefronts: List[TraceWavefront] = field(default_factory=list)
     reprojected_pixels: int = 0
-    _corner_cache: Dict[Tuple[int, int], np.ndarray] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    _corner_cache_values: int = field(default=0, init=False, repr=False, compare=False)
     _memo_cache: Dict[Tuple, np.ndarray] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -511,19 +504,11 @@ class FrameTrace:
 
     def voxel_base(self, index: int, resolution: int) -> np.ndarray:
         """``(P, 3)`` integer voxel-base coordinates of wavefront ``index``
-        at ``resolution`` (memoised; the expensive float->int conversion of
-        corner generation happens once per wavefront and resolution)."""
-        key = (index, int(resolution))
-        cached = self._corner_cache.get(key)
-        if cached is not None:
-            return cached
+        at ``resolution``, in the narrowest dtype that holds them (int16
+        below resolution 2**15, else int32).  Computed on each call:
+        pricing reads a frame's bases once per frame setup."""
         base = voxel_floor(self.wavefronts[index].points * resolution, resolution)
-        if self._corner_cache_values + base.size <= CORNER_CACHE_MAX_VALUES:
-            dtype = np.int16 if resolution < 2**15 else np.int32
-            self._corner_cache[key] = base.astype(dtype)
-            self._corner_cache_values += base.size
-            return self._corner_cache[key]
-        return base
+        return base.astype(np.int16 if resolution < 2**15 else np.int32)
 
     def corners(self, index: int, points: slice, resolution: int) -> np.ndarray:
         """``(P, 8, 3)`` voxel-vertex coordinates for a point range of one
@@ -578,11 +563,15 @@ class FrameTrace:
     def memo(self, key: Tuple, compute) -> np.ndarray:
         """Memoise a stream-derived array under ``key`` (bounded).
 
-        Entries are cached on their *second* request: a trace that is
-        simulated once (e.g. a sweep design point) only pays a key-set
-        entry, while traces replayed repeatedly — the fig17/18/19 trio, or
-        a cache-size sweep re-simulating one frame — keep the derived
-        streams (register-cache access distances, …) alive across calls.
+        The one store for pricing's derived streams, for bare and
+        sequence frames alike.  Entries are cached on their *second*
+        request: a trace that is simulated once (e.g. a sweep design
+        point) only pays a key-set entry, while traces replayed
+        repeatedly — the fig17/18/19 trio, or a cache-size sweep
+        re-simulating one frame — keep the derived streams (address
+        streams, register-cache hit masks, …) alive across calls.  Values
+        that would take the trace past :data:`MEMO_CACHE_MAX_VALUES` are
+        never stored.
         """
         cached = self._memo_cache.get(key)
         if cached is not None:
@@ -597,11 +586,6 @@ class FrameTrace:
         else:
             self._memo_seen.add(key)
         return value
-
-    def memo_hook(self, prefix: Tuple):
-        """A ``(key, compute)`` hook scoped to ``prefix``, handed to the
-        frame pricer (:mod:`repro.exec.batch`)."""
-        return lambda key, compute: self.memo(prefix + key, compute)
 
     # ------------------------------------------------------------------
     # Profiler access

@@ -218,9 +218,9 @@ class TemporalCachePartitions:
     surviving tenant's share trims its resident set to the new bound;
     growing it never invents entries.  Conservation holds throughout —
     the shares always sum to at most ``total_capacity`` — and a resize
-    that trims resident content extends the cache's resident-content
-    key, so hit masks memoised against an earlier share are never served
-    against the re-partitioned resident set (see
+    that trims resident content extends the cache's resident token, so
+    plans priced against an earlier share are never replayed against the
+    re-partitioned resident set (see
     :meth:`~repro.cim.cache.TemporalVertexCache.resize`).
 
     Args:

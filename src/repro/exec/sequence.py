@@ -30,9 +30,10 @@ Three reuse levels ride on the IR:
   world-space voxels; :meth:`temporal_deltas` measures the overlap and the
   accelerator's temporal vertex cache turns it into skipped crossbar reads.
 
-The sequence owns a bounded cross-frame memo (:meth:`SequenceTrace.memo`)
-so repeated simulations of one sequence — a design sweep, a warm benchmark
-run — derive address gaps and temporal hit masks once.
+A sequence keeps no store of its own for pricing's derived streams: each
+fresh frame memoises them on its own :class:`FrameTrace`
+(:meth:`FrameTrace.memo`), so repeated simulations of one sequence — a
+design sweep, a warm benchmark run — derive address streams once.
 """
 
 from __future__ import annotations
@@ -46,12 +47,6 @@ import numpy as np
 from repro.errors import SimulationError
 from repro.exec.frame_trace import FrameTrace
 from repro.scenes.cameras import Camera
-
-#: Per-sequence ceiling on memoised stream-derived values (address
-#: streams, gap arrays, temporal hit masks); beyond the cap values are
-#: recomputed on demand.  Sized so one acceptance-scale sequence (4 frames
-#: at 56x56, 8 levels) caches its full working set in compact dtypes.
-SEQUENCE_MEMO_MAX_VALUES = 2**26
 
 
 def pose_key(camera: Camera) -> bytes:
@@ -123,10 +118,6 @@ class SequenceTrace:
     kind: str = "asdr"
     replays: List[Optional[int]] = field(default_factory=list)
     planned: List[bool] = field(default_factory=list)
-    _memo: Dict[Tuple, np.ndarray] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    _memo_values: int = field(default=0, init=False, repr=False, compare=False)
     _deltas: Dict[Tuple, List[TemporalDelta]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -220,30 +211,6 @@ class SequenceTrace:
         return self._content_token
 
     # ------------------------------------------------------------------
-    # Cross-frame memoisation
-    # ------------------------------------------------------------------
-    def memo(self, key: Tuple, compute: Callable[[], np.ndarray]) -> np.ndarray:
-        """Memoise a stream-derived array under ``key`` (bounded).
-
-        Unlike the per-frame :meth:`FrameTrace.memo` (which caches on the
-        second request), sequences cache immediately: a sequence exists to
-        be replayed, and its first simulation already visits every frame.
-        """
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
-        value = compute()
-        if self._memo_values + value.size <= SEQUENCE_MEMO_MAX_VALUES:
-            self._memo[key] = value
-            self._memo_values += value.size
-        return value
-
-    def memo_hook(self, prefix: Tuple) -> Callable:
-        """A ``(key, compute)`` hook scoped under ``prefix`` (typically a
-        frame index), handed to the frame pricer."""
-        return lambda key, compute: self.memo(prefix + key, compute)
-
-    # ------------------------------------------------------------------
     # Temporal diff pass
     # ------------------------------------------------------------------
     def _frame_budget_map(self, trace: FrameTrace) -> np.ndarray:
@@ -258,26 +225,15 @@ class SequenceTrace:
         self, frame: int, resolution: int
     ) -> Tuple[np.ndarray, np.ndarray]:
         """``(stream, unique)`` scalar voxel ids of one frame's corner
-        traffic at ``resolution`` (memoised)."""
-
-        def compute_stream() -> np.ndarray:
-            trace = self.frames[frame]
-            chunks = []
-            stride = resolution + 1
-            for index in range(len(trace.wavefronts)):
-                base = trace.voxel_base(index, resolution).astype(np.int64)
-                chunks.append(
-                    (base[:, 2] * stride + base[:, 1]) * stride + base[:, 0]
-                )
-            if not chunks:
-                return np.empty(0, dtype=np.int64)
-            return np.concatenate(chunks)
-
-        stream = self.memo(("voxel_stream", frame, resolution), compute_stream)
-        unique = self.memo(
-            ("voxel_unique", frame, resolution), lambda: np.unique(stream)
-        )
-        return stream, unique
+        traffic at ``resolution``."""
+        trace = self.frames[frame]
+        chunks = []
+        stride = resolution + 1
+        for index in range(len(trace.wavefronts)):
+            base = trace.voxel_base(index, resolution).astype(np.int64)
+            chunks.append((base[:, 2] * stride + base[:, 1]) * stride + base[:, 0])
+        stream = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
+        return stream, np.unique(stream)
 
     def temporal_deltas(
         self, resolutions: Sequence[int] = (64,)
@@ -293,6 +249,9 @@ class SequenceTrace:
             return self._deltas[cache_key]
         deltas: List[TemporalDelta] = []
         prev_budgets = self._frame_budget_map(self.frames[0])
+        # Each frame's voxel ids are derived once and carried to the next
+        # frame's delta as its predecessor's working set.
+        prev_uniques = {res: self._frame_voxel_ids(0, res)[1] for res in cache_key}
         for k in range(1, self.num_frames):
             budgets = self._frame_budget_map(self.frames[k])
             ray_overlap = float(np.mean(budgets == prev_budgets))
@@ -300,7 +259,8 @@ class SequenceTrace:
             stream_overlap: Dict[int, float] = {}
             for res in cache_key:
                 stream, unique = self._frame_voxel_ids(k, res)
-                _, prev_unique = self._frame_voxel_ids(k - 1, res)
+                prev_unique = prev_uniques[res]
+                prev_uniques[res] = unique
                 if unique.size == 0:
                     corner_overlap[res] = 0.0
                     stream_overlap[res] = 0.0

@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.baselines.gpu import GPUModel, RTX3070
 from repro.baselines.platform import Workload
-from repro.core.config import ASDRConfig, AdaptiveSamplingConfig, ApproximationConfig
+from repro.core.config import ASDRConfig
 from repro.experiments.harness import register
 from repro.experiments.workbench import Workbench
 from repro.scenes.analytic import scene_names

@@ -17,7 +17,6 @@ from repro.arch.energy import COMPONENT_TABLE, AreaPowerModel, TOTALS
 from repro.baselines.gpu import GPUModel, RTX3070, XAVIER_NX
 from repro.baselines.neurex import NEUREX_EDGE, NEUREX_SERVER, NeurexModel
 from repro.baselines.platform import PlatformReport, Workload
-from repro.core.config import ASDRConfig
 from repro.experiments.harness import register
 from repro.experiments.workbench import EXPERIMENT_GRID, EXPERIMENT_MODEL, Workbench
 

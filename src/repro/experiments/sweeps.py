@@ -6,7 +6,6 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.arch.accelerator import ASDRAccelerator
 from repro.arch.config import ArchConfig
 from repro.core.config import (
     AdaptiveSamplingConfig,
@@ -15,7 +14,7 @@ from repro.core.config import (
 )
 from repro.experiments.harness import register
 from repro.experiments.performance import _accelerator
-from repro.experiments.workbench import EXPERIMENT_GRID, EXPERIMENT_MODEL, Workbench
+from repro.experiments.workbench import Workbench
 from repro.metrics.image import psnr
 
 SWEEP_SCENES = ("palace", "fountain", "family")

@@ -9,7 +9,7 @@ distilled once into a model checkpoint cached on disk under
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Optional, Tuple
 
@@ -250,8 +250,8 @@ class Workbench:
         ``(scene, CameraPath.cache_key(), config key, reuse knobs)`` — the
         sequence-level analogue of the per-frame render memo, so the video
         experiment, its benchmark and the CLI all replay one
-        :class:`~repro.exec.sequence.SequenceTrace` (cross-frame memo
-        state included) instead of re-rendering the path.
+        :class:`~repro.exec.sequence.SequenceTrace` (its frames' memoised
+        streams included) instead of re-rendering the path.
 
         Args:
             scene: Scene name.

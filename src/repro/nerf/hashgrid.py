@@ -31,7 +31,7 @@ use the physical layouts of :mod:`repro.cim.address` instead of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Sequence, Tuple, Union
 
 import numpy as np

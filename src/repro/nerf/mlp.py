@@ -9,12 +9,12 @@ for the breakdown of Figure 5.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.utils.math import relu, relu_grad
+from repro.utils.math import relu
 from repro.utils.rng import seeded_rng
 
 

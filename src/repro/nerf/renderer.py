@@ -8,7 +8,7 @@ the Figure 5 breakdown and the roofline baselines.  The ASDR renderer in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np

@@ -12,7 +12,7 @@ All functions are batched over rays: inputs have shape ``(R, N)`` or
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 

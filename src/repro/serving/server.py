@@ -237,7 +237,8 @@ class _Client:
     request: ClientRequest
     trace: SequenceTrace
     items: List[FrameWorkItem]
-    pose_keys: List[bytes]
+    #: Per frame, its content ids (:meth:`SequenceServer._content_ids`).
+    content_ids: List[Tuple[Tuple, ...]]
     order: int
     deadlines: List[Optional[int]] = field(default_factory=list)
     start_frame: int = 0
@@ -462,7 +463,7 @@ class SequenceServer:
                 request=request,
                 trace=trace,
                 items=new_items,
-                pose_keys=[pose_key(cam) for cam in cameras],
+                content_ids=self._content_ids(request, trace, cameras),
                 order=self._order_counter,
                 start_frame=start_frame,
                 end_frame=end_frame,
@@ -699,23 +700,29 @@ class SequenceServer:
                 for k in range(len(client.items))
             ]
 
-    def _content_ids(self, client: _Client, frame: int) -> Tuple[Tuple, ...]:
-        """Content identities of one frame: the sequence-level id, then —
-        for Phase I keyframes only — the pose-level id.
+    @staticmethod
+    def _content_ids(
+        request: ClientRequest, trace: SequenceTrace, cameras
+    ) -> List[Tuple[Tuple, ...]]:
+        """Content identities of every frame: the sequence-level id, then
+        — for Phase I keyframes only — the pose-level id.  Computed once
+        per client at :meth:`submit` (a frame's ids never change).
 
         The sequence-level id resolves in-sequence replays to their source
         frame, so twin requests (equal :meth:`~repro.serving.request.
         ClientRequest.content_key`) share ids frame by frame.  The
         pose-level id is :func:`pose_content_id`.
         """
-        replay_of = client.trace.replays[frame]
-        resolved = frame if replay_of is None else replay_of
-        seq_id = client.request.content_key() + (resolved,)
-        if replay_of is None and client.trace.planned[frame]:
-            return seq_id, pose_content_id(
-                client.request, client.pose_keys[frame]
-            )
-        return (seq_id,)
+        content_key = request.content_key()
+        ids: List[Tuple[Tuple, ...]] = []
+        for frame, camera in enumerate(cameras):
+            replay_of = trace.replays[frame]
+            seq_id = content_key + (frame if replay_of is None else replay_of,)
+            if replay_of is None and trace.planned[frame]:
+                ids.append((seq_id, pose_content_id(request, pose_key(camera))))
+            else:
+                ids.append((seq_id,))
+        return ids
 
     # ------------------------------------------------------------------
     # The serving event loop
@@ -948,7 +955,7 @@ class _ServeRun:
                 # Locked in as a fresh execution; estimate remaining.
                 est = self.cost_model.estimate(item.execution.remaining_points)
             else:
-                ids = server._content_ids(c, k)
+                ids = c.content_ids[k]
                 hit = not self.executed.isdisjoint(ids)
                 if item.mode == WORK_REPLAY or hit:
                     est = float(server._scanout_cycles(c.trace, k))
@@ -1124,8 +1131,8 @@ class _ServeRun:
         else:
             # A thinned frame commits a different working set than the
             # full frame k, so its commit tag names the thinned content:
-            # hit masks and plans keyed by the resident token must not
-            # mistake one resident set for the other.
+            # plans keyed by the resident token must not mistake one
+            # resident set for the other.
             item.thinned = True
             item.execution = server.accelerator.trace_execution(
                 thinned,
@@ -1150,7 +1157,7 @@ class _ServeRun:
             # until the commit in `complete` (or this client's abort)
             # clears the claim.  A thinned frame never leads — its pixels
             # are not the full-quality content a twin would scan out.
-            for cid in server._content_ids(client, k):
+            for cid in client.content_ids[k]:
                 self.in_flight_content.setdefault(cid, client.id)
         self.prefetch_plans(client, item)
 
@@ -1307,7 +1314,7 @@ class _ServeRun:
             # Thinned frames never register their content: their pixels
             # are not the full-quality frames a twin expects to scan out.
             # With sharing off nothing registers, so nothing is a hit.
-            self.executed.update(self.server._content_ids(client, k))
+            self.executed.update(client.content_ids[k])
         self.row(client, item, frame_report, delivered=True, cross=cross)
         rep = self.reports[client.id]
         rep.latencies_cycles.append(clock - client.request.arrival_cycle)

@@ -83,10 +83,6 @@ class TestRegisterCache:
         with pytest.raises(ConfigurationError):
             RegisterCache(-1)
 
-    def test_invalid_scale(self):
-        with pytest.raises(ConfigurationError):
-            RegisterCache(8, window_scale=0.0)
-
     def test_replay_tracks_stats(self):
         cache = RegisterCache(4)
         stream = np.array([1, 1, 2, 2, 3])

@@ -13,6 +13,7 @@ from repro.core.config import (
 )
 from repro.core.pipeline import ASDRRenderer
 from repro.errors import SimulationError
+from repro.exec import frame_trace
 from repro.exec.frame_trace import PHASE_MAIN, PHASE_PROBE, FrameTrace, TraceWavefront
 from repro.exec.scheduler import budget_groups, iter_budget_wavefronts
 from repro.nerf.hashgrid import HashGridConfig, HashGridEncoder
@@ -257,6 +258,56 @@ class TestRenderedPixels:
         assert {t.rendered_pixels for t in derived.values()} == {
             trace.rendered_pixels
         }
+
+
+class TestMemo:
+    """:meth:`FrameTrace.memo` is the one store for pricing's derived
+    streams: it keeps a value on its second request, up to a cap."""
+
+    @staticmethod
+    def _counting(value):
+        calls = []
+
+        def compute():
+            calls.append(None)
+            return value
+
+        return compute, calls
+
+    def test_second_request_stores_and_third_reuses(self):
+        trace = FrameTrace(num_pixels=4, full_budget=1)
+        compute, calls = self._counting(np.arange(3))
+        first = trace.memo(("k",), compute)
+        np.testing.assert_array_equal(first, np.arange(3))
+        second = trace.memo(("k",), compute)
+        assert len(calls) == 2  # the first request stored nothing
+        third = trace.memo(("k",), compute)
+        assert len(calls) == 2  # the second request stored its value
+        assert third is second
+
+    def test_keys_are_independent(self):
+        trace = FrameTrace(num_pixels=4, full_budget=1)
+        a, a_calls = self._counting(np.zeros(2))
+        b, b_calls = self._counting(np.ones(2))
+        for _ in range(3):
+            trace.memo(("a",), a)
+        np.testing.assert_array_equal(trace.memo(("b",), b), np.ones(2))
+        assert (len(a_calls), len(b_calls)) == (2, 1)
+
+    def test_value_past_the_cap_is_never_stored(self, monkeypatch):
+        monkeypatch.setattr(frame_trace, "MEMO_CACHE_MAX_VALUES", 4)
+        trace = FrameTrace(num_pixels=4, full_budget=1)
+        big, big_calls = self._counting(np.zeros(5))
+        for _ in range(4):
+            trace.memo(("big",), big)
+        assert len(big_calls) == 4
+        # The cap counts stored values: 3 fit, a further 2 do not.
+        small, _ = self._counting(np.zeros(3))
+        rest, rest_calls = self._counting(np.zeros(2))
+        for _ in range(3):
+            trace.memo(("small",), small)
+            trace.memo(("rest",), rest)
+        assert len(rest_calls) == 3
 
 
 class TestProfilerHelpers:

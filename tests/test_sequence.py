@@ -320,6 +320,24 @@ class TestSimulateSequence:
             [f.total_cycles for f in second.frames]
         assert first.temporal_hits == second.temporal_hits
 
+    def test_fresh_frames_memoise_on_their_own_trace(
+        self, server_acc, orbit_seq
+    ):
+        """Each fresh frame keeps its address streams in its own memo
+        from the second run on, and a run priced from them equals the
+        cold first run."""
+        seq = SequenceTrace.from_dict(orbit_seq.to_dict())  # fresh memos
+        assert all(j is None for j in seq.replays)
+        first = server_acc.simulate_sequence(seq, group_size=2)
+        server_acc.simulate_sequence(seq, group_size=2)
+        levels = set(range(server_acc.grid.num_levels))
+        for frame in seq.frames:
+            stored = {key[-1] for key in frame._memo_cache if key[-2] == "addr"}
+            assert stored == levels
+        third = server_acc.simulate_sequence(seq, group_size=2)
+        assert third.frames == first.frames
+        assert third.temporal_hits == first.temporal_hits > 0
+
     def test_capacity_bound_reduces_hits(self, server_acc, orbit_seq):
         unbounded = server_acc.simulate_sequence(orbit_seq, group_size=2)
         tiny = server_acc.simulate_sequence(
@@ -333,8 +351,8 @@ class TestSimulateSequence:
 
     def test_memo_isolated_across_address_mappings(self, server_acc, orbit_seq):
         """Two engines with different grids simulating one memoised
-        sequence must not share temporal hit masks (regression: the mask
-        memo key once omitted the address-stream identity)."""
+        sequence must not share derived streams (regression: a memo key
+        once omitted the address-stream identity)."""
         other_grid = HashGridConfig(
             num_levels=4, table_size=2**10, base_resolution=6,
             max_resolution=12,

@@ -272,8 +272,8 @@ class TestServerInvariants:
         # probes fully, so B's keyframes are served from A's executed
         # content and B's own temporal cache never sees them.  B's later
         # fresh frames then compare against an *older* resident set than
-        # B's alone run did — the memoised hit masks (populated by the
-        # alone run) must not leak across that difference.
+        # B's alone run did — the plans the alone run cached (keyed by
+        # the resident token) must not leak across that difference.
         path = camera_path("orbit", FRAMES, SIZE, SIZE, arc=0.6)
         seq_a = synthetic_sequence(path)
         seq_a.planned = [r is None for r in seq_a.replays]  # probe all
@@ -753,39 +753,27 @@ class TestElasticPartitions:
 
     def test_resize_history_blocks_stale_memoised_masks(self):
         """Capacity returning to an earlier value must not resurrect a
-        hit mask memoised against the pre-resize resident set."""
-        memo_store = {}
-
-        def memo(key, compute):
-            if key not in memo_store:
-                memo_store[key] = compute()
-            return memo_store[key]
-
+        plan (whose hit masks were computed against the pre-resize
+        resident set) from a cache keyed by the resident token."""
         cache = TemporalVertexCache(6)
         cache.record(np.arange(6), level=0)
         cache.commit_frame(tag=0)
         stream = np.arange(6)
-        first = cache.lookup(stream, level=0, memo=memo)
-        assert first.all()
+        token = cache.resident_token
+        assert cache.lookup(stream, level=0).all()
         cache.resize(3)   # trims resident to {0, 1, 2}
-        cache.resize(6)   # same nominal capacity as when `first` was memoised
-        again = cache.lookup(stream, level=0, memo=memo)
-        assert again.tolist() == [True] * 3 + [False] * 3, (
-            "stale pre-resize mask served from the memo"
+        cache.resize(6)   # same nominal capacity as when `token` was read
+        assert cache.resident_token != token, (
+            "a plan priced before the trim would be replayed after it"
         )
+        again = cache.lookup(stream, level=0)
+        assert again.tolist() == [True] * 3 + [False] * 3
 
     def test_resident_keys_distinguish_cache_instances_sharing_a_memo(self):
-        """Two serve() runs share one trace memo but resize/commit in
+        """Two serve() runs share one plan cache but resize/commit in
         different orders (e.g. a departure landing before vs after a
-        commit): masks memoised by one run must not leak into the other,
-        even when nominal capacity and commit tag coincide."""
-        memo_store = {}
-
-        def memo(key, compute):
-            if key not in memo_store:
-                memo_store[key] = compute()
-            return memo_store[key]
-
+        commit): plans priced by one run must not be replayed by the
+        other, even when nominal capacity and commit tag coincide."""
         stream = np.arange(10)
         # Run 1: commit at share 6 (trimmed to {0..5}), then the tenant
         # set shrinks and the survivor grows to 12.
@@ -793,17 +781,18 @@ class TestElasticPartitions:
         run1.record(stream, level=0)
         run1.commit_frame(tag=0)
         run1.resize(12)
-        mask1 = run1.lookup(stream, level=0, memo=memo)
-        assert int(mask1.sum()) == 6
+        assert int(run1.lookup(stream, level=0).sum()) == 6
         # Run 2: the departure lands first, so the commit happens at
         # share 12 — all ten addresses resident.
         run2 = TemporalVertexCache(6)
         run2.resize(12)
         run2.record(stream, level=0)
         run2.commit_frame(tag=0)
-        mask2 = run2.lookup(stream, level=0, memo=memo)
-        assert mask2.all(), (
-            "run 1's trimmed mask leaked into run 2 through the shared memo"
+        assert run2.lookup(stream, level=0).all()
+        assert run1.capacity_per_level == run2.capacity_per_level
+        assert run1.resident_token != run2.resident_token, (
+            "run 1's trimmed plans would be replayed by run 2 through the "
+            "shared plan cache"
         )
 
     def test_resize_validation(self):
